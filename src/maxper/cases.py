@@ -293,8 +293,11 @@ def trace_cycle(
     The exact detector runs alongside the block bookkeeping: if the true
     first return happens strictly inside a block, the trace reports
     CONTROVERSIAL instead of pretending the graph account applies.  A
-    tie at any block boundary stops the trace with AMBIGUITY.
+    tie at any block boundary stops the trace with AMBIGUITY.  A
+    ``max_blocks`` below 1 is refused with ValueError.
     """
+    if max_blocks is not None and max_blocks < 1:
+        raise ValueError(f"max_blocks must be at least 1, got {max_blocks}")
     state = make_state(state)
     start_cls = classify(state)
     if not start_cls.unambiguous:

@@ -6,6 +6,14 @@ is the minimal period of the generated sequence.  Detection therefore
 compares the full k-window against the start after every step and stops
 at the first match.
 
+Detection is period-first.  The window is scaled to integers and run
+forward by an integer kernel that keeps only the current window, so
+memory stays O(k) whether or not the orbit closes; ``period_of`` stops
+there.  ``detect_period`` regenerates the p integer cycle values in a
+second pass, takes the maximum and the least rotation on the integers
+(scaling by L > 0 preserves order, so both agree with the rational
+cycle), and converts to Fractions once at the end.
+
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
 independent code (or another process entirely) can re-check every claim:
@@ -28,27 +36,25 @@ from .orbit import (
     make_state,
     orbit_values,
     parse_rational,
+    step,
 )
 
 DEFAULT_CAP = 1_000_000
 
 
-def _first_return(window: Sequence[int], cap: int) -> Tuple[Optional[int], List[int]]:
-    """Integer fast path: first return time and the values produced on the way."""
+def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
+    """Integer fast path: first return time within the cap, or None."""
     w = tuple(window)
     target = w
-    produced: List[int] = []
-    append = produced.append
     for t in range(1, cap + 1):
         rest = w[1:]
         m = max(rest)
         if m < 0:
             m = 0
         w = rest + (m - w[0],)
-        append(w[-1])
         if w == target:
-            return t, produced
-    return None, produced
+            return t
+    return None
 
 
 def least_rotation_index(values: Sequence) -> int:
@@ -130,7 +136,7 @@ class NotClosed:
     steps: int
 
 
-DetectionOutcome = Union[PeriodCertificate, NotClosed]
+DetectionOutcome = PeriodCertificate | NotClosed
 
 
 def detect_period(state: State, cap: int = DEFAULT_CAP) -> DetectionOutcome:
@@ -143,29 +149,33 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> DetectionOutcome:
         raise ValueError("cap must be at least 1")
     state = make_state(state)
     ints, L = clear_denominators(state)
-    p, produced = _first_return(ints, cap)
+    p = _first_return(ints, cap)
     if p is None:
         return NotClosed(steps=cap)
-    k = len(ints)
-    if p >= k:
-        cycle_ints = list(ints) + produced[: p - k]
-    else:
-        cycle_ints = list(ints[:p])
-    cycle = tuple(Fraction(c, L) for c in cycle_ints)
+    cycle_ints = list(ints[:p])
+    w = ints
+    for _ in range(p - len(ints)):
+        w = step(w)
+        cycle_ints.append(w[-1])
     return PeriodCertificate(
-        k=k,
+        k=len(ints),
         initial=state,
         period=p,
-        cycle=cycle,
-        max_value=max(cycle),
-        rotation=least_rotation_index(cycle),
+        cycle=tuple(Fraction(c, L) for c in cycle_ints),
+        max_value=Fraction(max(cycle_ints), L),
+        rotation=least_rotation_index(cycle_ints),
     )
 
 
 def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
-    """Just the period, or None if the orbit did not close within the cap."""
-    outcome = detect_period(state, cap)
-    return outcome.period if isinstance(outcome, PeriodCertificate) else None
+    """Just the period, or None if the orbit did not close within the cap.
+
+    Integer-only: no Fraction cycle and no rotation are built.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    ints, _ = clear_denominators(make_state(state))
+    return _first_return(ints, cap)
 
 
 def _proper_divisors(n: int) -> List[int]:

@@ -21,6 +21,7 @@ of the initial denominators.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -43,24 +44,27 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p``, ``-p`` or ``p/q`` with q > 0.  Floats are rejected."""
-    s = text.strip()
-    if not s or "." in s or "e" in s.lower():
+    """Parse ``p``, ``-p``, ``p/q`` or ``-p/q`` with ASCII digits and q > 0.
+
+    Surrounding whitespace is ignored; anything else the grammar
+    ``-?[0-9]+(/[0-9]+)?`` does not describe is rejected, including
+    floats, signs on the denominator, ``+``, digit separators and
+    non-ASCII digits.
+    """
+    match = _RATIONAL_LITERAL.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            n, d = int(num), int(den)
-        except ValueError:
-            raise ValueError(f"not an exact rational literal: {text!r}") from None
-        if d <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(n, d)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        raise ValueError(f"not an exact rational literal: {text!r}") from None
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(int(num), q)
 
 
 def format_rational(value: Fraction) -> str:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from .detect import DEFAULT_CAP, PeriodCertificate, detect_period
+from .detect import DEFAULT_CAP, period_of
 from .orbit import State, format_state, make_state
 
 
@@ -153,11 +153,10 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
         state = make_state(
             tuple(Fraction(rng.randint(0, config.numerator_bound), d) for _ in range(config.k))
         )
-        outcome = detect_period(state, cap=config.cap)
-        if not isinstance(outcome, PeriodCertificate):
+        p = period_of(state, cap=config.cap)
+        if p is None:
             report.not_closed += 1
             continue
-        p = outcome.period
         report.histogram[p] = report.histogram.get(p, 0) + 1
         if p not in report.exemplars:
             report.exemplars[p] = state
@@ -191,7 +190,6 @@ def golomb_check(
         if rng.random() < 0.5:
             values.reverse()
         state = make_state(values)
-        outcome = detect_period(state, cap=cap)
-        if not isinstance(outcome, PeriodCertificate) or outcome.period != expected:
+        if period_of(state, cap=cap) != expected:
             return False
     return True

@@ -135,6 +135,16 @@ class TestTrace:
         with pytest.raises(PreconditionViolated):
             trace_cycle(S("5,1,3,2"))
 
+    @pytest.mark.parametrize("max_blocks", [0, -3])
+    def test_non_positive_max_blocks_refused(self, max_blocks):
+        with pytest.raises(ValueError, match="max_blocks"):
+            trace_cycle(S("8,2,1,5"), max_blocks=max_blocks)
+
+    def test_one_block_budget_is_honoured(self):
+        t = trace_cycle(S("8,2,1,5"), max_blocks=1)
+        assert t.status is TraceStatus.CAP_EXHAUSTED
+        assert len(t.blocks) == 1 and t.detected_period == 43
+
     def test_monotone_start_closes_in_one_block(self):
         t = trace_cycle(S("4,3,2,1"))
         assert t.status is TraceStatus.CLOSED

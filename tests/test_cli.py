@@ -1,8 +1,10 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from maxper import PeriodCertificate, verify_certificate
+from maxper import PeriodCertificate, format_state, scale, synthesize, verify_certificate
 from maxper.cli import main
 
 
@@ -80,6 +82,13 @@ class TestTrace:
         code, _, err = run(capsys, "trace", "5,1,3,2")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_max_blocks_exit_2(self, capsys, budget):
+        code, out, err = run(capsys, "trace", "8,2,1,5", "--max-blocks", budget)
+        assert code == 2
+        assert out == ""
+        assert "max_blocks" in err
 
 
 class TestPerset:
@@ -170,8 +179,47 @@ class TestGolomb:
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize("state", ["8,2,x", "1.5,2,3,4", "5", "1/-2,2,3,4"])
+    @pytest.mark.parametrize(
+        "state",
+        ["8,2,x", "1.5,2,3,4", "5", "1/-2,2,3,4", "1_000,0,0,0", "+3,0,0,0", "\u0663,0,0,0"],
+    )
     def test_malformed_state_exit_2(self, capsys, state):
         code, _, err = run(capsys, "period", state)
         assert code == 2
         assert "error:" in err
+
+
+#: synthesize(1009).state scaled by 7/5: a long orbit with mixed denominators.
+SCALED_1009 = "602/5,623/10,0,21/5"
+
+#: SHA-256 of the stdout of each command, taken before period-first
+#: detection landed; output must stay byte-identical.
+GOLDEN_STDOUT = [
+    (("period", "8,2,1,5", "--json"),
+     "5f13cd92d22b2734e92f2d3c25d6642952693e9bcacea583454fde6f0d51888d"),
+    (("period", SCALED_1009),
+     "959b1ade688dc642a735d709a81fce3dea769af691a2131274061c99bc2040fe"),
+    (("period", SCALED_1009, "--json"),
+     "404d1bf02cdc761670557e7afe70b9ecffadb56666edf91c9a396e131ef3a01a"),
+    (("survey", "--k", "5", "--samples", "40", "--seed", "3", "--json"),
+     "4c826e82d093976b31da4c9be31368792a5d6e143c3d6e7ceed008fccbee8b03"),
+    (("survey", "--k", "5", "--samples", "40", "--seed", "3", "--csv"),
+     "a3b24d7c28fd6fc2a6374a9c0601dd35a4d677f968b2bcaab5d898a1e96e44e4"),
+    (("trace", "8,2,1,5"),
+     "3cc37fa389055c4049f45433f0b2e16b8f4655d21b1951c2aaa532b2a7745273"),
+    (("golomb", "--k", "5", "--trials", "20"),
+     "51c67cd053a9b528d42aebf17eb52055d526fe376dc82bd97cfdc4938f8fa243"),
+]
+
+
+class TestGoldenStdout:
+    def test_scaled_window_comes_from_synth(self):
+        assert format_state(scale(synthesize(1009).state, Fraction(7, 5))) == SCALED_1009
+
+    @pytest.mark.parametrize(
+        "argv,digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,17 @@
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import maxper
 from maxper import (
     NotClosed,
     PeriodCertificate,
@@ -91,6 +98,54 @@ class TestDetect:
             s = rand_nonneg_state(rng, 4)
             alpha = F(rng.randint(1, 30), rng.randint(1, 30))
             assert period_of(scale(s, alpha)) == period_of(s)
+
+
+def mixed_windows(seed, count):
+    """Seeded windows of orders 2..6 whose entries have mixed denominators."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 2 + i % 5
+        yield tuple(F(rng.randint(-6, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(k))
+
+
+class TestPeriodFirstDifferential:
+    CAP = 20_000
+
+    def test_period_of_agrees_with_certificates(self):
+        closed = 0
+        for s in mixed_windows(20261018, 100):
+            cert = detect_period(s, self.CAP)
+            if not isinstance(cert, PeriodCertificate):
+                assert cert == NotClosed(steps=self.CAP)
+                assert period_of(s, self.CAP) is None
+                continue
+            closed += 1
+            p = cert.period
+            assert period_of(s, self.CAP) == p
+            if p > 1:
+                assert period_of(s, cap=p - 1) is None
+                assert detect_period(s, cap=p - 1) == NotClosed(steps=p - 1)
+            assert cert.rotation == least_rotation_index(cert.cycle)
+            assert verify_certificate(cert), (s, first_violation(cert))
+        assert closed >= 80
+
+    def test_period_of_memory_is_independent_of_the_cap(self):
+        # period 891611, so this cap is exhausted; only the window is kept
+        s = parse_state("12,-1,10/3,1,-3/4,3/2")
+        tracemalloc.start()
+        try:
+            assert period_of(s, cap=100_000) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_cap_is_refused(self, cap):
+        with pytest.raises(ValueError):
+            period_of(parse_state("8,2,1,5"), cap=cap)
+        with pytest.raises(ValueError):
+            detect_period(parse_state("8,2,1,5"), cap=cap)
 
 
 class TestCertificateVerification:
@@ -202,3 +257,23 @@ class TestTemplates:
     def test_two_template_absent_for_other_periods(self):
         assert match_two_template(cert_of("1,0,1,1/2")) is None
         assert match_two_template(cert_of("8,2,1,5")) is None
+
+
+def test_reimport_releases_the_previous_copy():
+    # Module-level type aliases must not pin classes in a global cache
+    # (typing caches Union[...] subscriptions), or every fresh import of
+    # the package keeps all earlier copies alive.
+    script = """
+import gc, importlib, sys, weakref
+def fresh():
+    for name in [m for m in sys.modules if m == "maxper" or m.startswith("maxper.")]:
+        del sys.modules[name]
+    return importlib.import_module("maxper")
+old = weakref.ref(fresh().detect.PeriodCertificate)
+fresh()
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+    src = str(Path(maxper.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0

@@ -123,6 +123,14 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["1_000", "+3", "\u0663", "3/+4", "1/ 2", "- 3", "3/"])
+    def test_only_the_ascii_grammar_is_accepted(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+    def test_surrounding_whitespace_is_stripped(self):
+        assert parse_rational(" -7/12\n") == F(-7, 12)
+
     def test_state_round_trip(self):
         assert format_state(parse_state("3/2,1/2,0,1")) == "3/2,1/2,0,1"
 
@@ -175,3 +183,25 @@ class TestShiftEquivalence:
         # cap far too small for these 43-cycles to close; windows unrelated
         with pytest.raises(Undecided):
             shift_equivalent(S("8,2,1,5"), S("16,4,2,10"), cap=5)
+
+
+@given(st.fractions())
+def test_parse_rational_inverts_str(value):
+    assert parse_rational(str(value)) == value
+
+
+_bad_decorations = st.sampled_from(
+    [
+        lambda t: "+" + t,  # explicit plus sign
+        lambda t: t + "_0",  # digit separator
+        lambda t: "".join(chr(0x660 + int(c)) for c in t),  # Arabic-Indic digits
+        lambda t: "1/+" + t,  # signed denominator
+        lambda t: "1/ " + t,  # space inside the literal
+    ]
+)
+
+
+@given(st.integers(min_value=0, max_value=10**6), _bad_decorations)
+def test_parse_rational_rejects_decorated_literals(n, decorate):
+    with pytest.raises(ValueError):
+        parse_rational(decorate(str(n)))
