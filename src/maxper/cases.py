@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .detect import DEFAULT_CAP, PeriodCertificate, detect_period
+from .detect import DEFAULT_CAP, PeriodCertificate, detect_period, period_of
 from .errors import DegenerateCycle, LabelMismatch, PreconditionViolated
-from .orbit import State, iterate, make_state
+from .orbit import State, make_state
 
 
 class Case(Enum):
@@ -271,18 +271,6 @@ def _decompose_routes(labels: List[Case]) -> Tuple[Route, ...]:
     return tuple(routes)
 
 
-def _minimal_period_dividing(state: State, n: int) -> int:
-    """The minimal period of a state known to return after n steps.
-
-    The periods of a fixed orbit are closed under gcd, so the minimal
-    one divides n; the smallest returning divisor is it.
-    """
-    for d in range(1, n + 1):
-        if n % d == 0 and iterate(state, d) == state:
-            return d
-    return n
-
-
 def trace_cycle(
     state: State,
     max_blocks: Optional[int] = None,
@@ -335,10 +323,10 @@ def trace_cycle(
             break
         if cur == state and (period is None or cum == period):
             if period is None:
-                # Detector cap was too small to see the return.  The block
-                # sum is a period; the minimal one divides it, so a divisor
-                # walk settles whether closure really happened here.
-                period = _minimal_period_dividing(state, cum)
+                # Detector cap was too small to see the return.  The state
+                # returns at cum, so the first return within cum is the
+                # minimal period and settles whether closure happened here.
+                period = period_of(state, cap=cum)
                 if period < cum:
                     status = TraceStatus.CONTROVERSIAL
                     break

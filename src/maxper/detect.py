@@ -16,9 +16,12 @@ cycle), and converts to Fractions once at the end.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
-independent code (or another process entirely) can re-check every claim:
-re-simulation, minimality, and the sign structure that any cycle of this
-recurrence must satisfy around occurrences of its maximum.
+independent code (or another process entirely) can re-check every claim.
+``first_violation`` does so in one integer re-simulation of p steps that
+compares every term with the cycle and establishes minimality as "no
+earlier return", then checks the maximum, the rotation, and the sign
+structure that any cycle of this recurrence must satisfy around
+occurrences of its maximum.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import Optional, Sequence, Tuple, Union
 
 from .orbit import (
     State,
     clear_denominators,
     format_rational,
-    iterate,
     make_state,
-    orbit_values,
     parse_rational,
     step,
 )
@@ -178,26 +180,18 @@ def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
     return _first_return(ints, cap)
 
 
-def _proper_divisors(n: int) -> List[int]:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return sorted(x for x in divs if x < n)
-
-
 def first_violation(cert: PeriodCertificate) -> Optional[str]:
     """Name of the first certificate invariant that fails, or None.
 
-    The checks are deliberately independent of the detector: the cycle is
-    re-simulated, minimality is re-established through divisors (the
-    periods of a fixed sequence are closed under gcd, so a divisor check
-    is complete), and the sign structure around the maximum is verified
-    directly.
+    The checks are deliberately independent of the detector.  The initial
+    window and the cycle are scaled by the lcm L of the initial
+    denominators (a cycle entry that is not a multiple of 1/L cannot be
+    an orbit value), and one integer re-simulation of p steps compares
+    every new term with the cycle.  Minimality is "no earlier return":
+    the first return time is the minimal period, so a window that comes
+    back before step p refutes it.  The sign structure around the
+    maximum and the rotation are checked on the same integers; scaling
+    by L > 0 preserves order, so both agree with the rational cycle.
     """
     k, p = cert.k, cert.period
     if k < 2 or len(cert.initial) != k:
@@ -208,27 +202,39 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
         return "cycle-length"
     if any(cert.initial[i] != cert.cycle[i % p] for i in range(k)):
         return "initial-window"
-    if tuple(orbit_values(cert.initial, p)) != cert.cycle:
+    L = lcm(*(v.denominator for v in cert.initial))
+    if any(L % v.denominator for v in cert.cycle):
         return "resimulation"
-    if iterate(cert.initial, p) != cert.initial:
-        return "resimulation"
-    for d in _proper_divisors(p):
-        if iterate(cert.initial, d) == cert.initial:
-            return "minimality"
-    if cert.max_value != max(cert.cycle):
+    cycle = [v.numerator * (L // v.denominator) for v in cert.cycle]
+    start = tuple(cycle[i % p] for i in range(k))
+    # Step t yields term k + t - 1, which must equal cycle[(k + t - 1) % p].
+    # Matching all p terms also brings the window back to start at step p.
+    r = k % p
+    w = start
+    returned_early = False
+    for t, expected in enumerate(cycle[r:] + cycle[:r], 1):
+        w = step(w)
+        if w[-1] != expected:
+            return "resimulation"
+        if t < p and w == start:
+            returned_early = True
+    if returned_early:
+        return "minimality"
+    m = max(cycle)
+    if cert.max_value != Fraction(m, L):
         return "max-element"
-    if cert.max_value < 0:
+    if m < 0:
         return "max-nonnegative"
-    if cert.max_value == 0 and any(v != 0 for v in cert.cycle):
+    if m == 0 and any(cycle):
         return "zero-cycle"
-    if cert.max_value > 0:
-        for i, v in enumerate(cert.cycle):
-            if v == cert.max_value:
-                if any(cert.cycle[(i + t) % p] < 0 for t in range(k)):
+    if m > 0:
+        for i, v in enumerate(cycle):
+            if v == m:
+                if any(cycle[(i + t) % p] < 0 for t in range(k)):
                     return "sign-structure"
-                if cert.cycle[(i + k) % p] > 0:
+                if cycle[(i + k) % p] > 0:
                     return "sign-structure"
-    if not (0 <= cert.rotation < p) or cert.rotation != least_rotation_index(cert.cycle):
+    if not (0 <= cert.rotation < p) or cert.rotation != least_rotation_index(cycle):
         return "rotation"
     return None
 

@@ -22,12 +22,15 @@ from maxper import (
     make_state,
     match_eight_template,
     match_two_template,
+    orbit_values,
     parse_state,
     period_of,
     scale,
     step_back,
+    synthesize,
     verify_certificate,
 )
+from maxper import detect
 from conftest import rand_nonneg_state, rand_state
 
 F = Fraction
@@ -187,6 +190,133 @@ class TestCertificateVerification:
         again = PeriodCertificate.from_json(c.to_json_str())
         assert again == c
         assert verify_certificate(again)
+
+
+def fraction_first_violation(cert):
+    """Slow reference verifier: Fraction re-simulation, minimality by divisors.
+
+    Kept as the oracle for ``first_violation``.  It re-simulates in
+    Fractions and re-iterates once per proper divisor of the period (the
+    periods of a fixed sequence are closed under gcd, so a divisor check
+    is complete).
+    """
+    k, p = cert.k, cert.period
+    if k < 2 or len(cert.initial) != k:
+        return "order"
+    if p < 1:
+        return "period-positive"
+    if len(cert.cycle) != p:
+        return "cycle-length"
+    if any(cert.initial[i] != cert.cycle[i % p] for i in range(k)):
+        return "initial-window"
+    if tuple(orbit_values(cert.initial, p)) != cert.cycle:
+        return "resimulation"
+    if iterate(cert.initial, p) != cert.initial:
+        return "resimulation"
+    for d in range(1, p):
+        if p % d == 0 and iterate(cert.initial, d) == cert.initial:
+            return "minimality"
+    if cert.max_value != max(cert.cycle):
+        return "max-element"
+    if cert.max_value < 0:
+        return "max-nonnegative"
+    if cert.max_value == 0 and any(v != 0 for v in cert.cycle):
+        return "zero-cycle"
+    if cert.max_value > 0:
+        for i, v in enumerate(cert.cycle):
+            if v == cert.max_value:
+                if any(cert.cycle[(i + t) % p] < 0 for t in range(k)):
+                    return "sign-structure"
+                if cert.cycle[(i + k) % p] > 0:
+                    return "sign-structure"
+    if not (0 <= cert.rotation < p) or cert.rotation != least_rotation_index(cert.cycle):
+        return "rotation"
+    return None
+
+
+def forgeries(c):
+    """Named corruptions of a detected certificate."""
+
+    def repeated(times):
+        cycle = c.cycle * times
+        return dataclasses.replace(
+            c, period=c.period * times, cycle=cycle, rotation=least_rotation_index(cycle)
+        )
+
+    def perturbed(i, delta=1):
+        cycle = c.cycle[:i] + (c.cycle[i] + delta,) + c.cycle[i + 1 :]
+        initial = tuple(cycle[j % c.period] for j in range(c.k))
+        return dataclasses.replace(c, initial=initial, cycle=cycle)
+
+    p = c.period
+    return {
+        "doubled": repeated(2),
+        "tripled": repeated(3),
+        "perturbed-first": perturbed(0),
+        "perturbed-middle": perturbed(p // 2),
+        "perturbed-last": perturbed(p - 1),
+        "off-lattice": perturbed(p - 1, F(1, 7)),
+        "cycle-only": dataclasses.replace(c, cycle=(c.cycle[0] + 1,) + c.cycle[1:]),
+        "wrong-max": dataclasses.replace(c, max_value=c.max_value + 1),
+        "rotation+1": dataclasses.replace(c, rotation=c.rotation + 1),
+        "rotation-1": dataclasses.replace(c, rotation=c.rotation - 1),
+        "rotation=p": dataclasses.replace(c, rotation=p),
+    }
+
+
+class TestVerifierDifferential:
+    def assert_agrees(self, cert):
+        assert first_violation(cert) == fraction_first_violation(cert)
+        for name, forged in forgeries(cert).items():
+            assert first_violation(forged) == fraction_first_violation(forged), name
+
+    def test_seeded_certificates_of_orders_2_to_6(self):
+        orders = set()
+        for s in mixed_windows(20261019, 20):
+            cert = detect_period(s, cap=5000)
+            if isinstance(cert, PeriodCertificate):
+                orders.add(cert.k)
+                assert first_violation(cert) is None
+                self.assert_agrees(cert)
+        assert orders == {2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("text", ["0,0,0,0", "1,0,1,0,1", "1/2,0,1/2"])
+    def test_cycles_shorter_than_the_window(self, text):
+        cert = cert_of(text)
+        assert cert.period < cert.k
+        self.assert_agrees(cert)
+
+    def test_forged_labels(self):
+        # interior of the cycle, perturbed consistently with the initial window
+        labels = {name: first_violation(f) for name, f in forgeries(cert_of("8,2,1,5")).items()}
+        assert labels == {
+            "doubled": "minimality",
+            "tripled": "minimality",
+            "perturbed-first": "resimulation",
+            "perturbed-middle": "resimulation",
+            "perturbed-last": "resimulation",
+            "off-lattice": "resimulation",
+            "cycle-only": "initial-window",
+            "wrong-max": "max-element",
+            "rotation+1": "rotation",
+            "rotation-1": "rotation",
+            "rotation=p": "rotation",
+        }
+
+    def test_one_step_per_cycle_term(self, monkeypatch):
+        cert = detect_period(synthesize(1009).state)
+        assert isinstance(cert, PeriodCertificate) and cert.period == 1009
+        calls = 0
+        real_step = detect.step
+
+        def counting_step(w):
+            nonlocal calls
+            calls += 1
+            return real_step(w)
+
+        monkeypatch.setattr(detect, "step", counting_step)
+        assert verify_certificate(cert)
+        assert calls == cert.period
 
 
 class TestSignStructure:
