@@ -46,7 +46,6 @@ from .errors import (
 )
 from .orbit import (
     OrbitSegment,
-    Rational,
     State,
     as_rational,
     clear_denominators,

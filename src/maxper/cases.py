@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .detect import DEFAULT_CAP, PeriodCertificate, detect_period, period_of
+from .detect import DEFAULT_CAP, PeriodCertificate, period_of
+# Unused here; bench/test_bench.py reads cases.detect_period to test the tracer.
+from .detect import detect_period  # noqa: F401
 from .errors import DegenerateCycle, LabelMismatch, PreconditionViolated
 from .orbit import State, make_state
 
@@ -296,8 +298,7 @@ def trace_cycle(
     if max_blocks is None:
         max_blocks = max(4, 4 * cap // 10)
 
-    outcome = detect_period(state, cap)
-    period = outcome.period if isinstance(outcome, PeriodCertificate) else None
+    period = period_of(state, cap)
 
     blocks: List[Tuple[Case, int]] = []
     cur = state

@@ -12,7 +12,10 @@ memory stays O(k) whether or not the orbit closes; ``period_of`` stops
 there.  ``detect_period`` regenerates the p integer cycle values in a
 second pass, takes the maximum and the least rotation on the integers
 (scaling by L > 0 preserves order, so both agree with the rational
-cycle), and converts to Fractions once at the end.
+cycle), and converts to Fractions once at the end.  A long cycle takes
+few distinct values, so each distinct integer becomes a Fraction once
+and its repeats share that immutable object; ``PeriodCertificate.from_json``
+parses each distinct cycle literal once in the same way.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
@@ -30,7 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .orbit import (
     State,
@@ -42,6 +45,19 @@ from .orbit import (
 )
 
 DEFAULT_CAP = 1_000_000
+
+
+def _interned(values: Sequence, convert: Callable) -> tuple:
+    """``tuple(convert(v) for v in values)``, converting each distinct value once.
+
+    Repeats share the first result, which must therefore be immutable.
+    Distinct values are converted in order of first occurrence, so the
+    first value ``convert`` refuses is the first one in ``values``.
+    """
+    memo = dict.fromkeys(values)
+    for v in memo:
+        memo[v] = convert(v)
+    return tuple(map(memo.__getitem__, values))
 
 
 def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
@@ -121,13 +137,19 @@ class PeriodCertificate:
     def from_json(cls, data: Union[str, dict]) -> "PeriodCertificate":
         if isinstance(data, str):
             data = json.loads(data)
+        for field in ("k", "period", "rotation"):
+            # bool is an int subclass; JSON true must not load as 1.
+            if type(data[field]) is not int:
+                raise ValueError(
+                    f"certificate {field!r} must be a JSON integer, got {data[field]!r}"
+                )
         return cls(
-            k=int(data["k"]),
+            k=data["k"],
             initial=tuple(parse_rational(v) for v in data["initial"]),
-            period=int(data["period"]),
-            cycle=tuple(parse_rational(v) for v in data["cycle"]),
+            period=data["period"],
+            cycle=_interned(data["cycle"], parse_rational),
             max_value=parse_rational(data["max"]),
-            rotation=int(data["rotation"]),
+            rotation=data["rotation"],
         )
 
 
@@ -163,7 +185,7 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> DetectionOutcome:
         k=len(ints),
         initial=state,
         period=p,
-        cycle=tuple(Fraction(c, L) for c in cycle_ints),
+        cycle=_interned(cycle_ints, lambda c: Fraction(c, L)),
         max_value=Fraction(max(cycle_ints), L),
         rotation=least_rotation_index(cycle_ints),
     )

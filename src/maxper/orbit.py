@@ -29,7 +29,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import Undecided
 
-Rational = Fraction
 State = Tuple[Fraction, ...]
 
 

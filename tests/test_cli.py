@@ -223,3 +223,20 @@ class TestGoldenStdout:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRepeatedMain:
+    def test_stdout_is_unchanged_after_failed_calls(self, capsys):
+        # main shares one parser across calls in a process; neither a parse
+        # failure nor a domain error may leave anything behind in it.
+        for _ in range(2):
+            for argv, digest in GOLDEN_STDOUT:
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest
+                with pytest.raises(SystemExit) as exc:
+                    main(["period", "8,2,1,5", "--cap"])
+                assert exc.value.code == 2
+                assert "usage:" in capsys.readouterr().err
+                code, _, err = run(capsys, "synth", "277")
+                assert code == 1 and "error:" in err

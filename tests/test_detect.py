@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ import maxper
 from maxper import (
     NotClosed,
     PeriodCertificate,
+    clear_denominators,
     detect_period,
     first_violation,
     iterate,
@@ -26,6 +29,7 @@ from maxper import (
     parse_state,
     period_of,
     scale,
+    step,
     step_back,
     synthesize,
     verify_certificate,
@@ -190,6 +194,65 @@ class TestCertificateVerification:
         again = PeriodCertificate.from_json(c.to_json_str())
         assert again == c
         assert verify_certificate(again)
+
+
+def fraction_cycle(state, p):
+    """The first p terms of the orbit, one ``Fraction(c, L)`` per integer term."""
+    ints, L = clear_denominators(make_state(state))
+    w, cycle = ints, list(ints[:p])
+    for _ in range(p - len(ints)):
+        w = step(w)
+        cycle.append(w[-1])
+    return tuple(Fraction(c, L) for c in cycle)
+
+
+class TestInternedCycle:
+    WINDOWS = [*mixed_windows(20261020, 40), scale(synthesize(1009).state, F(7, 5))]
+
+    def test_values_and_json_are_those_of_one_fraction_per_term(self):
+        orders = set()
+        for s in self.WINDOWS:
+            cert = detect_period(s, cap=20_000)
+            if not isinstance(cert, PeriodCertificate):
+                continue
+            orders.add(cert.k)
+            old = fraction_cycle(s, cert.period)
+            assert cert.cycle == old
+            text = cert.to_json_str()
+            assert text == dataclasses.replace(cert, cycle=old).to_json_str()
+            again = PeriodCertificate.from_json(text)
+            assert again == cert and again.cycle == old
+        assert orders == {2, 3, 4, 5, 6}
+
+    def test_equal_entries_are_one_object(self):
+        cert = detect_period(self.WINDOWS[-1])
+        assert cert.period == 1009
+        for c in (cert, PeriodCertificate.from_json(cert.to_json_str())):
+            distinct = set(c.cycle)
+            assert len(distinct) < c.period
+            assert len({id(v) for v in c.cycle}) == len(distinct)
+
+    @pytest.mark.parametrize("where", [[-1], [3, 17, -1]], ids=["once-at-end", "repeated"])
+    @pytest.mark.parametrize("literal", ["1.5", "+0", "1/0"])
+    def test_malformed_cycle_literal_is_refused(self, where, literal):
+        doc = json.loads(cert_of("8,2,1,5").to_json_str())
+        for i in where:
+            doc["cycle"][i] = literal
+        with pytest.raises(ValueError, match=re.escape(repr(literal))):
+            PeriodCertificate.from_json(doc)
+
+
+class TestCertificateJsonIntegers:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rotation", 4.9), ("k", 4.5), ("period", "43"), ("period", 43.0), ("rotation", True)],
+    )
+    def test_non_integer_field_is_refused(self, field, value):
+        # int() would turn 4.9, 4.5 and "43" into a certificate that verifies
+        doc = json.loads(cert_of("8,2,1,5").to_json_str())
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must be a JSON integer"):
+            PeriodCertificate.from_json(json.dumps(doc))
 
 
 def fraction_first_violation(cert):
