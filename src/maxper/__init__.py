@@ -50,7 +50,6 @@ from .orbit import (
     as_rational,
     clear_denominators,
     denominator_lcm,
-    format_rational,
     format_state,
     iterate,
     make_state,

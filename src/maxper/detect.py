@@ -12,19 +12,25 @@ memory stays O(k) whether or not the orbit closes; ``period_of`` stops
 there.  ``detect_period`` regenerates the p integer cycle values in a
 second pass, takes the maximum and the least rotation on the integers
 (scaling by L > 0 preserves order, so both agree with the rational
-cycle), and converts to Fractions once at the end.  A long cycle takes
-few distinct values, so each distinct integer becomes a Fraction once
-and its repeats share that immutable object; ``PeriodCertificate.from_json``
-parses each distinct cycle literal once in the same way.
+cycle), and converts to Fractions once at the end.  The least rotation
+runs Booth's algorithm over blocks of the cycle cut before each
+occurrence of its minimum, so most comparisons are tuple comparisons at
+C speed.  A long cycle takes few distinct values, so each distinct
+integer becomes a Fraction once and its repeats share that immutable
+object; ``PeriodCertificate.from_json`` parses each distinct cycle
+literal once in the same way, and refuses a malformed document with
+ValueError.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
 independent code (or another process entirely) can re-check every claim.
-``first_violation`` does so in one integer re-simulation of p steps that
-compares every term with the cycle and establishes minimality as "no
-earlier return", then checks the maximum, the rotation, and the sign
-structure that any cycle of this recurrence must satisfy around
-occurrences of its maximum.
+``first_violation`` shares only ``step`` with the detector.  It
+re-simulates p integer steps once, compares every term with the cycle
+and establishes minimality as "no earlier return", then checks the
+maximum, the sign structure that any cycle of this recurrence must
+satisfy around occurrences of its maximum, and the claimed rotation,
+which must start a Lyndon word (Duval's algorithm) rather than be
+recomputed.
 """
 
 from __future__ import annotations
@@ -32,13 +38,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress, islice, repeat
 from math import lcm
+from operator import eq
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .orbit import (
     State,
     clear_denominators,
-    format_rational,
     make_state,
     parse_rational,
     step,
@@ -75,7 +83,7 @@ def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
     return None
 
 
-def least_rotation_index(values: Sequence) -> int:
+def _booth(values: Sequence) -> int:
     """Index of the lexicographically smallest rotation (Booth's algorithm)."""
     n = len(values)
     if n == 0:
@@ -97,6 +105,30 @@ def least_rotation_index(values: Sequence) -> int:
         else:
             fail[j - best] = i + 1
     return best % n
+
+
+def least_rotation_index(values: Sequence) -> int:
+    """Index of the lexicographically smallest rotation of ``values``.
+
+    The smallest rotation starts at an occurrence of the minimum m, so
+    the cycle is cut before every m into blocks and Booth's algorithm
+    runs over the blocks, comparing them as tuples.  That order is the
+    order of the entries: a block that is a proper prefix of another is
+    followed by m, which is smaller than every entry that does not start
+    a block.  Each block comparison runs at C speed.  Like Booth's
+    algorithm on the entries, it returns the first index of the least
+    rotation when the cycle repeats.
+    """
+    n = len(values)
+    if n == 0:
+        return 0
+    m = min(values)
+    # operator.eq, not m.__eq__: int.__eq__(Fraction) is NotImplemented, which is truthy.
+    starts = list(compress(range(n), map(eq, values, repeat(m))))
+    values = tuple(values)
+    blocks = list(map(values.__getitem__, map(slice, starts, starts[1:])))
+    blocks.append(values[starts[-1] :] + values[: starts[0]])
+    return starts[_booth(blocks)]
 
 
 @dataclass(frozen=True)
@@ -123,10 +155,10 @@ class PeriodCertificate:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "initial": [format_rational(v) for v in self.initial],
+            "initial": list(map(str, self.initial)),
             "period": self.period,
-            "cycle": [format_rational(v) for v in self.cycle],
-            "max": format_rational(self.max_value),
+            "cycle": list(map(str, self.cycle)),
+            "max": str(self.max_value),
             "rotation": self.rotation,
         }
 
@@ -135,8 +167,14 @@ class PeriodCertificate:
 
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "PeriodCertificate":
+        """Load a certificate document; a malformed one raises ValueError naming the field."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate must be a JSON object, got {data!r:.60}")
+        missing = [field for field in _JSON_FIELDS if field not in data]
+        if missing:
+            raise ValueError(f"certificate is missing {', '.join(map(repr, missing))}")
         for field in ("k", "period", "rotation"):
             # bool is an int subclass; JSON true must not load as 1.
             if type(data[field]) is not int:
@@ -145,12 +183,39 @@ class PeriodCertificate:
                 )
         return cls(
             k=data["k"],
-            initial=tuple(parse_rational(v) for v in data["initial"]),
+            initial=_literals(data, "initial"),
             period=data["period"],
-            cycle=_interned(data["cycle"], parse_rational),
-            max_value=parse_rational(data["max"]),
+            cycle=_literals(data, "cycle"),
+            max_value=_literal("max", data["max"]),
             rotation=data["rotation"],
         )
+
+
+_JSON_FIELDS = ("k", "initial", "period", "cycle", "max", "rotation")
+
+
+def _literal(field: str, text) -> Fraction:
+    """Parse one rational literal of a certificate document's ``field``."""
+    if type(text) is not str:
+        raise ValueError(f"certificate {field!r} needs rational literals as strings, got {text!r}")
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"certificate {field!r}: {exc}") from None
+
+
+def _literals(data: dict, field: str) -> tuple:
+    """Parse a list of literals, each distinct one once (see ``_interned``)."""
+    values = data[field]
+    if not isinstance(values, list):
+        raise ValueError(f"certificate {field!r} must be a JSON list, got {values!r:.60}")
+    try:
+        return _interned(values, partial(_literal, field))
+    except TypeError:
+        # Hashing a list or object entry fails before any literal is
+        # parsed; _literal refuses the first non-string with ValueError.
+        _literal(field, next(v for v in values if type(v) is not str))
+        raise
 
 
 @dataclass(frozen=True)
@@ -205,15 +270,20 @@ def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
 def first_violation(cert: PeriodCertificate) -> Optional[str]:
     """Name of the first certificate invariant that fails, or None.
 
-    The checks are deliberately independent of the detector.  The initial
-    window and the cycle are scaled by the lcm L of the initial
-    denominators (a cycle entry that is not a multiple of 1/L cannot be
-    an orbit value), and one integer re-simulation of p steps compares
-    every new term with the cycle.  Minimality is "no earlier return":
-    the first return time is the minimal period, so a window that comes
-    back before step p refutes it.  The sign structure around the
-    maximum and the rotation are checked on the same integers; scaling
-    by L > 0 preserves order, so both agree with the rational cycle.
+    The checks are deliberately independent of the detector: they share
+    only ``step`` with it.  The initial window and the cycle are scaled
+    by the lcm L of the initial denominators (a cycle entry that is not a
+    multiple of 1/L cannot be an orbit value), and one integer
+    re-simulation of p steps compares every new term with the cycle.
+    Minimality is "no earlier return": the first return time is the
+    minimal period, so a window that comes back before step p refutes it.
+    The sign structure around the maximum and the rotation are checked on
+    the same integers; scaling by L > 0 preserves order, so both agree
+    with the rational cycle.
+
+    The claimed rotation is checked rather than recomputed: minimality is
+    checked first, so the cycle is primitive, and its least rotation is
+    the one that is a Lyndon word (Duval's loop, ``_is_least_rotation``).
     """
     k, p = cert.k, cert.period
     if k < 2 or len(cert.initial) != k:
@@ -225,9 +295,11 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
     if any(cert.initial[i] != cert.cycle[i % p] for i in range(k)):
         return "initial-window"
     L = lcm(*(v.denominator for v in cert.initial))
-    if any(L % v.denominator for v in cert.cycle):
+    # One divmod per entry checks the lattice and scales: an entry that is
+    # not a multiple of 1/L is dropped, so the length no longer matches.
+    cycle = [v.numerator * qr[0] for v in cert.cycle if not (qr := divmod(L, v.denominator))[1]]
+    if len(cycle) != p:
         return "resimulation"
-    cycle = [v.numerator * (L // v.denominator) for v in cert.cycle]
     start = tuple(cycle[i % p] for i in range(k))
     # Step t yields term k + t - 1, which must equal cycle[(k + t - 1) % p].
     # Matching all p terms also brings the window back to start at step p.
@@ -250,15 +322,46 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
     if m == 0 and any(cycle):
         return "zero-cycle"
     if m > 0:
-        for i, v in enumerate(cycle):
-            if v == m:
-                if any(cycle[(i + t) % p] < 0 for t in range(k)):
-                    return "sign-structure"
-                if cycle[(i + k) % p] > 0:
-                    return "sign-structure"
-    if not (0 <= cert.rotation < p) or cert.rotation != least_rotation_index(cycle):
+        # At every occurrence of m the entries at offsets 0..k-1 must be
+        # >= 0 and the one at offset k <= 0; ext shifted by t holds offset t.
+        at_max = list(map(eq, cycle, repeat(m)))
+        ext = cycle * (k // p + 2)
+        if any(min(compress(islice(ext, t, None), at_max)) < 0 for t in range(1, k)):
+            return "sign-structure"
+        if max(compress(islice(ext, k, None), at_max)) > 0:
+            return "sign-structure"
+    if not _is_least_rotation(cycle, cert.rotation):
         return "rotation"
     return None
+
+
+def _is_least_rotation(cycle: Sequence, r: int) -> bool:
+    """Whether r indexes the least rotation of a primitive cycle.
+
+    For a primitive cycle that means the rotation starting at r is a
+    Lyndon word.  It must start at the minimum m; cut before every m, its
+    blocks compare as tuples in the order of the entries, and Duval's loop
+    over the blocks decides whether it is Lyndon.
+    """
+    p = len(cycle)
+    if not 0 <= r < p:
+        return False
+    rot = cycle[r:] + cycle[:r]
+    lo = min(cycle)
+    if rot[0] != lo:
+        return False
+    cuts = list(compress(range(p), map(eq, rot, repeat(lo))))
+    blocks = list(map(rot.__getitem__, map(slice, cuts, cuts[1:] + [p])))
+    # Duval: blocks[:j] is a prefix of a power of the Lyndon word blocks[:j - i].
+    i = 0
+    for j in range(1, len(blocks)):
+        if blocks[i] < blocks[j]:
+            i = 0
+        elif blocks[i] == blocks[j]:
+            i += 1
+        else:
+            return False
+    return i == 0
 
 
 def verify_certificate(cert: PeriodCertificate) -> bool:

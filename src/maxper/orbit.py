@@ -66,11 +66,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), q)
 
 
-def format_rational(value: Fraction) -> str:
-    """Inverse of parse_rational: ``5``, ``-3``, or ``p/q`` in lowest terms."""
-    return str(value)
-
-
 def make_state(values: Iterable[int | str | Fraction]) -> State:
     """Build a state tuple from any mix of ints, strings, and Fractions."""
     state = tuple(as_rational(v) for v in values)

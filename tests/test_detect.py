@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import maxper
@@ -115,6 +115,32 @@ def mixed_windows(seed, count):
         yield tuple(F(rng.randint(-6, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(k))
 
 
+def booth_least_rotation(values):
+    """Booth's algorithm over the entries one at a time.
+
+    The oracle for ``least_rotation_index`` and for the verifier's
+    rotation check, so that neither is trusted to test the other.
+    """
+    n = len(values)
+    doubled = list(values) + list(values)
+    fail = [-1] * len(doubled)
+    best = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - best - 1]
+        while i != -1 and c != doubled[best + i + 1]:
+            if c < doubled[best + i + 1]:
+                best = j - i - 1
+            i = fail[i]
+        if c != doubled[best + i + 1]:
+            if c < doubled[best]:
+                best = j
+            fail[j - best] = -1
+        else:
+            fail[j - best] = i + 1
+    return best % n
+
+
 class TestPeriodFirstDifferential:
     CAP = 20_000
 
@@ -132,7 +158,7 @@ class TestPeriodFirstDifferential:
             if p > 1:
                 assert period_of(s, cap=p - 1) is None
                 assert detect_period(s, cap=p - 1) == NotClosed(steps=p - 1)
-            assert cert.rotation == least_rotation_index(cert.cycle)
+            assert cert.rotation == booth_least_rotation(cert.cycle)
             assert verify_certificate(cert), (s, first_violation(cert))
         assert closed >= 80
 
@@ -170,7 +196,7 @@ class TestCertificateVerification:
             c,
             period=86,
             cycle=c.cycle * 2,
-            rotation=least_rotation_index(c.cycle * 2),
+            rotation=booth_least_rotation(c.cycle * 2),
         )
         assert first_violation(doubled) == "minimality"
         assert not verify_certificate(doubled)
@@ -255,6 +281,59 @@ class TestCertificateJsonIntegers:
             PeriodCertificate.from_json(json.dumps(doc))
 
 
+def _edited(edit):
+    doc = json.loads(cert_of("8,2,1,5").to_json_str())
+    edit(doc)
+    return doc
+
+
+def _without(field):
+    return lambda doc: doc.pop(field)
+
+
+def _set(field, value, index=None):
+    def edit(doc):
+        if index is None:
+            doc[field] = value
+        else:
+            doc[field][index] = value
+
+    return edit
+
+
+class TestMalformedCertificateDocument:
+    @pytest.mark.parametrize(
+        "document,field",
+        [
+            pytest.param([1, 2], "JSON object", id="list"),
+            pytest.param("8,2,1,5", "JSON object", id="string"),
+            pytest.param(None, "JSON object", id="null"),
+            *(
+                pytest.param(_edited(_without(f)), f, id=f"missing-{f}")
+                for f in ("k", "initial", "period", "cycle", "max", "rotation")
+            ),
+            *(
+                pytest.param(_edited(_set(f, value)), f, id=f"{f}-{name}")
+                for f in ("initial", "cycle")
+                for name, value in [("string", "8,2,1,5"), ("object", {"0": "8"}), ("null", None)]
+            ),
+            *(
+                pytest.param(_edited(_set(f, value, index)), f, id=f"{f}[{index}]-{name}")
+                for f in ("initial", "cycle")
+                for index in (0, -1)
+                for name, value in [("number", 8), ("list", ["8"]), ("null", None), ("true", True)]
+            ),
+            *(
+                pytest.param(_edited(_set("max", value)), "max", id=f"max-{name}")
+                for name, value in [("number", 8), ("list", ["8"]), ("null", None), ("true", True)]
+            ),
+        ],
+    )
+    def test_refused_with_value_error_naming_the_field(self, document, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            PeriodCertificate.from_json(json.dumps(document))
+
+
 def fraction_first_violation(cert):
     """Slow reference verifier: Fraction re-simulation, minimality by divisors.
 
@@ -292,7 +371,7 @@ def fraction_first_violation(cert):
                     return "sign-structure"
                 if cert.cycle[(i + k) % p] > 0:
                     return "sign-structure"
-    if not (0 <= cert.rotation < p) or cert.rotation != least_rotation_index(cert.cycle):
+    if not (0 <= cert.rotation < p) or cert.rotation != booth_least_rotation(cert.cycle):
         return "rotation"
     return None
 
@@ -303,7 +382,7 @@ def forgeries(c):
     def repeated(times):
         cycle = c.cycle * times
         return dataclasses.replace(
-            c, period=c.period * times, cycle=cycle, rotation=least_rotation_index(cycle)
+            c, period=c.period * times, cycle=cycle, rotation=booth_least_rotation(cycle)
         )
 
     def perturbed(i, delta=1):
@@ -319,6 +398,7 @@ def forgeries(c):
         "perturbed-middle": perturbed(p // 2),
         "perturbed-last": perturbed(p - 1),
         "off-lattice": perturbed(p - 1, F(1, 7)),
+        "off-lattice-appended": dataclasses.replace(c, period=p + 1, cycle=c.cycle + (F(1, 7),)),
         "cycle-only": dataclasses.replace(c, cycle=(c.cycle[0] + 1,) + c.cycle[1:]),
         "wrong-max": dataclasses.replace(c, max_value=c.max_value + 1),
         "rotation+1": dataclasses.replace(c, rotation=c.rotation + 1),
@@ -359,6 +439,7 @@ class TestVerifierDifferential:
             "perturbed-middle": "resimulation",
             "perturbed-last": "resimulation",
             "off-lattice": "resimulation",
+            "off-lattice-appended": "resimulation",
             "cycle-only": "initial-window",
             "wrong-max": "max-element",
             "rotation+1": "rotation",
@@ -411,6 +492,110 @@ def test_booth_matches_naive(seq):
     i = least_rotation_index(seq)
     j = naive_least_rotation(seq)
     assert seq[i:] + seq[:i] == seq[j:] + seq[:j]
+
+
+_entries = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([F(-2), F(-1, 2), F(0), F(1, 3), F(1), F(2)]),
+)
+
+
+@given(
+    st.lists(_entries, min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([list, tuple]),
+)
+def test_least_rotation_index_is_booths_index(base, times, kind):
+    # repeated lists have several least rotations; the index must be Booth's
+    values = kind(base * times)
+    assert least_rotation_index(values) == booth_least_rotation(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[5], (F(-1, 2),), [0] * 9, (F(3),) * 4, [0, F(0), 0], [F(1), 0, 1, F(0)], [2, 1, 2, 1]],
+)
+def test_least_rotation_index_edge_cases(values):
+    assert least_rotation_index(values) == booth_least_rotation(values)
+
+
+def is_primitive(values):
+    return all(values[r:] + values[:r] != values for r in range(1, len(values)))
+
+
+@given(st.lists(_entries, min_size=1, max_size=12), st.sampled_from([list, tuple]))
+def test_rotation_check_accepts_only_booths_index(values, kind):
+    values = kind(values)
+    assume(is_primitive(values))
+    best = booth_least_rotation(values)
+    for r in range(-1, len(values) + 1):
+        assert detect._is_least_rotation(values, r) == (r == best)
+
+
+class TestRotationCheck:
+    def test_rotation_is_refused_exactly_off_booths_index(self):
+        checked = 0
+        for s in [*mixed_windows(20261021, 30), parse_state("8,2,1,5")]:
+            cert = detect_period(s, cap=200)
+            if not isinstance(cert, PeriodCertificate):
+                continue
+            checked += 1
+            best = booth_least_rotation(cert.cycle)
+            for r in range(cert.period):
+                expected = None if r == best else "rotation"
+                assert first_violation(dataclasses.replace(cert, rotation=r)) == expected
+        assert checked >= 15
+
+
+class Counted:
+    """A number that counts the == and < comparisons made on it."""
+
+    comparisons = 0
+    __slots__ = ("v",)
+    __hash__ = None
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        Counted.comparisons += 1
+        return self.v == other.v
+
+    def __lt__(self, other):
+        Counted.comparisons += 1
+        return self.v < other.v
+
+
+def adversarial_shapes(n):
+    """Cycles of length n that stress block comparisons."""
+    geometric = []
+    length = 1
+    while len(geometric) < n:
+        geometric += [0] + [1] * (length - 1)
+        length *= 2
+    fib_a, fib_b = [0], [0, 1]
+    while len(fib_b) < n:
+        fib_a, fib_b = fib_b, fib_b + fib_a
+    return {
+        "all-equal": [0] * n,
+        "alternating-minimum": [0, 1] * (n // 2),
+        "geometric-blocks": geometric[:n],
+        "geometric-blocks-reversed": geometric[:n][::-1],
+        "fibonacci-word": fib_b[:n],
+    }
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("routine", ["least_rotation_index", "verifier"])
+def test_rotation_comparisons_are_linear(routine, n):
+    for name, shape in adversarial_shapes(n).items():
+        values = tuple(map(Counted, shape))
+        Counted.comparisons = 0
+        if routine == "least_rotation_index":
+            least_rotation_index(values)
+        else:
+            detect._is_least_rotation(values, booth_least_rotation(shape))
+        assert Counted.comparisons <= 8 * n, name
 
 
 class TestTemplates:
