@@ -12,7 +12,6 @@ surveys for higher orders.
 
 from .detect import (
     DEFAULT_CAP,
-    DetectionOutcome,
     NotClosed,
     PeriodCertificate,
     detect_period,
@@ -42,10 +41,8 @@ from .errors import (
     LabelMismatch,
     NotAPeriod,
     PreconditionViolated,
-    Undecided,
 )
 from .orbit import (
-    OrbitSegment,
     State,
     as_rational,
     clear_denominators,
@@ -57,7 +54,6 @@ from .orbit import (
     parse_rational,
     parse_state,
     scale,
-    shift_equivalent,
     step,
     step_back,
 )

@@ -9,28 +9,31 @@ at the first match.
 Detection is period-first.  The window is scaled to integers and run
 forward by an integer kernel that keeps only the current window, so
 memory stays O(k) whether or not the orbit closes; ``period_of`` stops
-there.  ``detect_period`` regenerates the p integer cycle values in a
-second pass, takes the maximum and the least rotation on the integers
-(scaling by L > 0 preserves order, so both agree with the rational
-cycle), and converts to Fractions once at the end.  The least rotation
-runs Booth's algorithm over blocks of the cycle cut before each
+there, and ``detect_period`` runs the same first pass.  It then
+regenerates the p integer cycle values in a second pass, with an emitter
+generated once per order k from one template (the window in locals, an
+unrolled maximum), takes the maximum and the least rotation on the
+integers (scaling by L > 0 preserves order, so both agree with the
+rational cycle), and converts to Fractions once at the end.  The least
+rotation runs Booth's algorithm over blocks of the cycle cut before each
 occurrence of its minimum, so most comparisons are tuple comparisons at
 C speed.  A long cycle takes few distinct values, so each distinct
 integer becomes a Fraction once and its repeats share that immutable
 object; ``PeriodCertificate.from_json`` parses each distinct cycle
 literal once in the same way, and refuses a malformed document with
-ValueError.
+ValueError.  ``PeriodCertificate.to_json`` formats each distinct cycle
+object once, so shared entries cost one ``str`` call.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
 independent code (or another process entirely) can re-check every claim.
-``first_violation`` shares only ``step`` with the detector.  It
-re-simulates p integer steps once, compares every term with the cycle
-and establishes minimality as "no earlier return", then checks the
-maximum, the sign structure that any cycle of this recurrence must
-satisfy around occurrences of its maximum, and the claimed rotation,
-which must start a Lyndon word (Duval's algorithm) rather than be
-recomputed.
+``first_violation`` shares no step loop with the detector: it steps
+with ``orbit.step``, which detection does not call.  It re-simulates p
+integer steps once, compares every term with the cycle and establishes
+minimality as "no earlier return", then checks the maximum, the sign
+structure that any cycle of this recurrence must satisfy around
+occurrences of its maximum, and the claimed rotation, which must start
+a Lyndon word (Duval's algorithm) rather than be recomputed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from math import lcm
 from operator import eq
@@ -55,17 +58,24 @@ from .orbit import (
 DEFAULT_CAP = 1_000_000
 
 
-def _interned(values: Sequence, convert: Callable) -> tuple:
+def _interned(values: Sequence, convert: Callable, key: Optional[Callable] = None) -> tuple:
     """``tuple(convert(v) for v in values)``, converting each distinct value once.
 
-    Repeats share the first result, which must therefore be immutable.
-    Distinct values are converted in order of first occurrence, so the
-    first value ``convert`` refuses is the first one in ``values``.
+    Values are distinct by equality, or by ``key(v)`` if a key is given;
+    values with equal keys must convert alike.  ``key=id`` converts each
+    distinct object once without hashing the values, which pays when
+    hashing runs in Python (Fraction).  Repeats share the first result,
+    which must therefore be immutable.  Distinct values are converted in
+    order of first occurrence, so the first value ``convert`` refuses is
+    the first one in ``values``.
     """
-    memo = dict.fromkeys(values)
-    for v in memo:
-        memo[v] = convert(v)
-    return tuple(map(memo.__getitem__, values))
+    keys = values if key is None else list(map(key, values))
+    # dict() keeps the first of equal keys but the last of their values, so
+    # without a key function the first occurrence is the key itself.
+    memo = dict(zip(keys, values))
+    for k, v in memo.items():
+        memo[k] = convert(v if key else k)
+    return tuple(map(memo.__getitem__, keys))
 
 
 def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
@@ -81,6 +91,36 @@ def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
         if w == target:
             return t
     return None
+
+
+@lru_cache(maxsize=64)
+def _emitter(k: int) -> Callable[[Sequence[int], int], list]:
+    """Integer emitter for order k: ``emit(window, n)`` is the window then the next n terms.
+
+    The body is generated from one template per order: the window lives in
+    locals x0..x{k-1}, and the maximum is an unrolled chain from m = 0, so
+    a step neither slices the window nor calls ``max``.  The source
+    depends on the integer k only.
+    """
+    xs = ", ".join(f"x{i}" for i in range(k))
+    shifted = ", ".join([*(f"x{i}" for i in range(1, k)), "m - x0"])
+    source = "\n".join(
+        [
+            "def emit(window, n):",
+            f"    {xs}, = window",
+            "    out = list(window)",
+            "    append = out.append",
+            "    for _ in range(n):",
+            "        m = 0",
+            *(f"        if x{i} > m: m = x{i}" for i in range(1, k)),
+            f"        {xs}, = {shifted},",
+            f"        append(x{k - 1})",
+            "    return out",
+        ]
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["emit"]
 
 
 def _booth(values: Sequence) -> int:
@@ -142,11 +182,6 @@ class PeriodCertificate:
     max_value: Fraction
     rotation: int
 
-    def canonical_cycle(self) -> Tuple[Fraction, ...]:
-        """The cycle rotated to its lexicographically smallest rotation."""
-        r = self.rotation
-        return self.cycle[r:] + self.cycle[:r]
-
     def window_at(self, index: int) -> State:
         """The k-window of the cycle starting at the given cycle index."""
         p = self.period
@@ -157,7 +192,7 @@ class PeriodCertificate:
             "k": self.k,
             "initial": list(map(str, self.initial)),
             "period": self.period,
-            "cycle": list(map(str, self.cycle)),
+            "cycle": list(_interned(self.cycle, str, key=id)),
             "max": str(self.max_value),
             "rotation": self.rotation,
         }
@@ -225,10 +260,7 @@ class NotClosed:
     steps: int
 
 
-DetectionOutcome = PeriodCertificate | NotClosed
-
-
-def detect_period(state: State, cap: int = DEFAULT_CAP) -> DetectionOutcome:
+def detect_period(state: State, cap: int = DEFAULT_CAP) -> PeriodCertificate | NotClosed:
     """Run the orbit forward until the initial window recurs, or give up.
 
     NotClosed is an answer, not an error: nothing guarantees that an
@@ -241,13 +273,10 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> DetectionOutcome:
     p = _first_return(ints, cap)
     if p is None:
         return NotClosed(steps=cap)
-    cycle_ints = list(ints[:p])
-    w = ints
-    for _ in range(p - len(ints)):
-        w = step(w)
-        cycle_ints.append(w[-1])
+    k = len(ints)
+    cycle_ints = _emitter(k)(ints, p - k) if p > k else ints[:p]
     return PeriodCertificate(
-        k=len(ints),
+        k=k,
         initial=state,
         period=p,
         cycle=_interned(cycle_ints, lambda c: Fraction(c, L)),
@@ -270,11 +299,12 @@ def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
 def first_violation(cert: PeriodCertificate) -> Optional[str]:
     """Name of the first certificate invariant that fails, or None.
 
-    The checks are deliberately independent of the detector: they share
-    only ``step`` with it.  The initial window and the cycle are scaled
-    by the lcm L of the initial denominators (a cycle entry that is not a
-    multiple of 1/L cannot be an orbit value), and one integer
-    re-simulation of p steps compares every new term with the cycle.
+    The checks are deliberately independent of the detector: they step
+    with ``orbit.step``, which the detector does not use.  The initial
+    window and the cycle are scaled by the lcm L of the initial
+    denominators (a cycle entry that is not a multiple of 1/L cannot be an
+    orbit value), and one integer re-simulation of p steps compares every
+    new term with the cycle.
     Minimality is "no earlier return": the first return time is the
     minimal period, so a window that comes back before step p refutes it.
     The sign structure around the maximum and the rotation are checked on
@@ -317,6 +347,24 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
     m = max(cycle)
     if cert.max_value != Fraction(m, L):
         return "max-element"
+    label = _sign_violation(cycle, m, k)
+    if label is not None:
+        return label
+    if not _is_least_rotation(cycle, cert.rotation):
+        return "rotation"
+    return None
+
+
+def _sign_violation(cycle: Sequence[int], m: int, k: int) -> Optional[str]:
+    """Label of the first sign check that an integer cycle with maximum m fails, or None.
+
+    These checks restate theorems about true cycles of the order-k
+    recurrence: the maximum is nonnegative, a zero maximum means the zero
+    cycle, and around every occurrence of the maximum the signs follow a
+    fixed pattern.  So they cannot fire once re-simulation has passed;
+    they stay as independent statements of the theory, and the tests
+    reach them through forged cycles.
+    """
     if m < 0:
         return "max-nonnegative"
     if m == 0 and any(cycle):
@@ -325,13 +373,11 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
         # At every occurrence of m the entries at offsets 0..k-1 must be
         # >= 0 and the one at offset k <= 0; ext shifted by t holds offset t.
         at_max = list(map(eq, cycle, repeat(m)))
-        ext = cycle * (k // p + 2)
+        ext = cycle * (k // len(cycle) + 2)
         if any(min(compress(islice(ext, t, None), at_max)) < 0 for t in range(1, k)):
             return "sign-structure"
         if max(compress(islice(ext, k, None), at_max)) > 0:
             return "sign-structure"
-    if not _is_least_rotation(cycle, cert.rotation):
-        return "rotation"
     return None
 
 

@@ -24,7 +24,3 @@ class DegenerateCycle(DomainError):
 
 class NotAPeriod(DomainError):
     """The requested integer is not a realizable period."""
-
-
-class Undecided(DomainError):
-    """Shift equivalence could not be settled within the step budget."""

@@ -22,12 +22,9 @@ of the initial denominators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Tuple
-
-from .errors import Undecided
+from typing import Iterable, List, Tuple
 
 State = Tuple[Fraction, ...]
 
@@ -128,18 +125,6 @@ def orbit_values(state: State, n: int) -> List[Fraction]:
     return values
 
 
-@dataclass(frozen=True)
-class OrbitSegment:
-    """A start window together with the terms it generates, in order."""
-
-    start: State
-    values: Tuple[Fraction, ...]
-
-    @classmethod
-    def generate(cls, start: State, n: int) -> "OrbitSegment":
-        return cls(start=start, values=tuple(orbit_values(start, n)))
-
-
 def scale(state: State, alpha: int | str | Fraction) -> State:
     """Multiply every entry by alpha > 0.
 
@@ -165,46 +150,3 @@ def clear_denominators(state: State) -> Tuple[Tuple[int, ...], int]:
     L = denominator_lcm(state)
     ints = tuple(int(as_rational(v) * L) for v in state)
     return ints, L
-
-
-def shift_equivalent(first: State, second: State, cap: Optional[int] = None) -> bool:
-    """Do the two windows generate the same bi-infinite sequence up to a shift?
-
-    Both orbits are run through the period detector.  If both close, the
-    answer is exact: equal periods and equal cycles up to rotation.  If
-    exactly one closes within the cap the answer is False (a shift of a
-    periodic sequence is periodic with the same period).  If neither
-    closes, the orbit of ``first`` is searched forward and backward for
-    the window ``second``; failing that the question is Undecided.
-    """
-    from .detect import DEFAULT_CAP, PeriodCertificate, detect_period
-
-    if len(first) != len(second):
-        raise ValueError("states must have the same order k")
-    if cap is None:
-        cap = DEFAULT_CAP
-    first = make_state(first)
-    second = make_state(second)
-
-    a = detect_period(first, cap)
-    b = detect_period(second, cap)
-    a_closed = isinstance(a, PeriodCertificate)
-    b_closed = isinstance(b, PeriodCertificate)
-    if a_closed and b_closed:
-        return a.period == b.period and a.canonical_cycle() == b.canonical_cycle()
-    if a_closed != b_closed:
-        return False
-
-    if first == second:
-        return True
-    w = first
-    for _ in range(cap):
-        w = step(w)
-        if w == second:
-            return True
-    w = first
-    for _ in range(cap):
-        w = step_back(w)
-        if w == second:
-            return True
-    raise Undecided(f"neither orbit closed and no shift found within {cap} steps")

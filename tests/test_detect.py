@@ -225,11 +225,49 @@ class TestCertificateVerification:
 def fraction_cycle(state, p):
     """The first p terms of the orbit, one ``Fraction(c, L)`` per integer term."""
     ints, L = clear_denominators(make_state(state))
-    w, cycle = ints, list(ints[:p])
-    for _ in range(p - len(ints)):
+    return tuple(Fraction(c, L) for c in step_loop(ints, p - len(ints))[:p])
+
+
+def step_loop(window, n):
+    """The window followed by the next n terms, one ``orbit.step`` per term."""
+    w, out = tuple(window), list(window)
+    for _ in range(n):
         w = step(w)
-        cycle.append(w[-1])
-    return tuple(Fraction(c, L) for c in cycle)
+        out.append(w[-1])
+    return out
+
+
+class TestEmitter:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 233])
+    def test_agrees_with_a_step_loop(self, k):
+        rng = random.Random(k)
+        emit = detect._emitter(k)
+        assert detect._emitter(k) is emit
+        for _ in range(4 if k > 8 else 25):
+            window = tuple(rng.randint(-9, 9) for _ in range(k))
+            # n = 0 and n = 1 are the cycles of length p = k and p = k + 1
+            for n in (0, 1, 2, k - 1, k, k + 1, 3 * k + 5):
+                out = emit(window, n)
+                assert type(out) is list
+                assert out == step_loop(window, n), (window, n)
+
+    @pytest.mark.parametrize("n", [1009, 4999])
+    def test_synthesized_cycles_scaled_by_7_5(self, n):
+        s = scale(synthesize(n).state, F(7, 5))
+        ints, L = clear_denominators(s)
+        k = len(ints)
+        cycle = detect._emitter(k)(ints, n - k)
+        assert cycle == step_loop(ints, n - k)
+        cert = detect_period(s)
+        assert cert.period == n
+        assert cert.cycle == tuple(F(c, L) for c in cycle)
+
+    @pytest.mark.parametrize("text", ["0,0,0,0", "1,0,1,0,1", "1/2,0,1/2", "0,7/3,0,7/3,0,7/3,0"])
+    def test_cycles_shorter_than_the_window(self, text):
+        s = parse_state(text)
+        cert = detect_period(s)
+        assert cert.period < cert.k
+        assert cert.cycle == fraction_cycle(s, cert.period)
 
 
 class TestInternedCycle:
@@ -257,6 +295,22 @@ class TestInternedCycle:
             distinct = set(c.cycle)
             assert len(distinct) < c.period
             assert len({id(v) for v in c.cycle}) == len(distinct)
+
+    def test_repeats_share_the_result_of_the_first_occurrence(self):
+        assert detect._interned([1, True, 1.0, 2], repr) == ("1", "1", "1", "2")
+        one, also_one = Fraction(1), Fraction(1)
+        ids = detect._interned([one, also_one, one], id, key=id)
+        assert ids == (id(one), id(also_one), id(one))
+
+    def test_json_formats_equal_entries_that_are_distinct_objects(self):
+        cert = detect_period(self.WINDOWS[-1])
+        copies = tuple(Fraction(v.numerator, v.denominator) for v in cert.cycle)
+        assert len({id(v) for v in copies}) == cert.period > len(set(copies))
+        forged = dataclasses.replace(cert, cycle=copies)
+        doc = forged.to_json()
+        assert type(doc["cycle"]) is list
+        assert doc["cycle"] == list(map(str, forged.cycle))
+        assert forged.to_json_str() == cert.to_json_str()
 
     @pytest.mark.parametrize("where", [[-1], [3, 17, -1]], ids=["once-at-end", "repeated"])
     @pytest.mark.parametrize("literal", ["1.5", "+0", "1/0"])
@@ -479,6 +533,50 @@ class TestSignStructure:
                 if v == m:
                     assert all(cyc[(i + t) % p] >= 0 for t in range(4))
                     assert cyc[(i + 4) % p] <= 0
+
+
+class TestSignViolation:
+    """The sign checks on forged integer cycles.
+
+    No certificate that passes re-simulation reaches them, so the labels
+    are pinned here on cycles that are not orbits.
+    """
+
+    @pytest.mark.parametrize(
+        "cycle,k,label",
+        [
+            ([-1, -2, -3], 3, "max-nonnegative"),
+            ([-2], 2, "max-nonnegative"),
+            ([0, -1, 0, 0], 4, "zero-cycle"),
+            ([0, 0, 3, 0, 0, 0, -3], 4, None),
+            ([0, 0, 0], 3, None),
+            ([5, 1, 1, 1, 0], 4, None),
+            ([5, -1, 1, 1, 0], 4, "sign-structure"),  # offset 1
+            ([5, 1, 1, -1, 0], 4, "sign-structure"),  # offset k - 1
+            ([5, 1, 1, 1, 2], 4, "sign-structure"),  # offset k
+            ([5, 0, 0, 0, 0, 5, 0, 0, -1, 0], 4, "sign-structure"),  # second maximum
+            ([3, 0], 3, None),  # the alternating 2-cycle of an odd order
+            ([3, 0], 4, "sign-structure"),  # offset k wraps onto the maximum
+        ],
+    )
+    def test_forged_cycles(self, cycle, k, label):
+        assert detect._sign_violation(cycle, max(cycle), k) == label
+
+    def test_detected_cycles_pass(self):
+        for s in mixed_windows(20261021, 40):
+            ints, _ = clear_denominators(s)
+            p = period_of(s, cap=5000)
+            if p is not None:
+                cycle = step_loop(ints, p - len(ints))[:p]
+                assert detect._sign_violation(cycle, max(cycle), len(ints)) is None
+
+    def test_checked_after_the_maximum_and_before_the_rotation(self, monkeypatch):
+        cert = cert_of("8,2,1,5")
+        monkeypatch.setattr(detect, "_sign_violation", lambda cycle, m, k: "sign-structure")
+        assert first_violation(cert) == "sign-structure"
+        labels = {name: first_violation(f) for name, f in forgeries(cert).items()}
+        assert labels["wrong-max"] == "max-element"
+        assert labels["rotation+1"] == "sign-structure"
 
 
 def naive_least_rotation(seq):

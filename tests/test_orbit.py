@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxper import (
-    OrbitSegment,
-    Undecided,
     denominator_lcm,
     format_state,
     iterate,
@@ -15,7 +13,6 @@ from maxper import (
     parse_rational,
     parse_state,
     scale,
-    shift_equivalent,
     step,
     step_back,
 )
@@ -136,52 +133,6 @@ class TestParsing:
     def test_state_needs_two_entries(self):
         with pytest.raises(ValueError):
             parse_state("5")
-
-
-class TestOrbitSegment:
-    def test_values_reproduce_by_stepping(self):
-        s = S("8,2,1,5")
-        seg = OrbitSegment.generate(s, 20)
-        assert seg.values == tuple(orbit_values(s, 20))
-        w = s
-        for i in range(4, 20):
-            w = step(w)
-            assert seg.values[i] == w[-1]
-
-
-class TestShiftEquivalence:
-    def test_known_equivalent_windows(self):
-        assert shift_equivalent(S("5,3,1,3"), S("5,1,1,3"))
-
-    def test_reflexive(self):
-        s = S("8,2,1,5")
-        assert shift_equivalent(s, s)
-
-    def test_different_periods(self):
-        assert not shift_equivalent(S("1,0,1,0"), S("4,3,2,1"))
-
-    def test_forward_shift(self):
-        s = S("8,2,1,5")
-        assert shift_equivalent(s, iterate(s, 17))
-
-    def test_same_period_different_cycles(self):
-        # both are 11-cycles but with different values
-        assert not shift_equivalent(S("4,3,2,1"), S("9,3,2,1"))
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            shift_equivalent(S("1,2,3"), S("1,2,3,4"))
-
-    def test_window_search_when_detection_is_capped(self):
-        # cap too small to close either orbit, but the shift is within reach
-        s = S("8,2,1,5")
-        assert shift_equivalent(s, iterate(s, 3), cap=5)
-        assert shift_equivalent(s, iterate(s, -3), cap=5)
-
-    def test_undecided_when_nothing_closes(self):
-        # cap far too small for these 43-cycles to close; windows unrelated
-        with pytest.raises(Undecided):
-            shift_equivalent(S("8,2,1,5"), S("16,4,2,10"), cap=5)
 
 
 @given(st.fractions())
