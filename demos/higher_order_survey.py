@@ -11,7 +11,8 @@ descriptions built from 3k-2 and 3k-1 (13/14 at order 5, 16/17 at 6):
 
 The sampler refutes the coprime refinement outright: order 5 realizes
 54 = 13*2 + 14*2, whose only representation has gcd 2.  The unrestricted
-combination form survives every sample this script has ever drawn.
+combination form fits every period these samples produce, but that holds
+of the samples only: the order-6 window 0,0,1,1,0,0 has period 4, outside it.
 """
 
 from maxper import SurveyConfig, conjecture_witness, golomb_check, run_survey

@@ -18,7 +18,6 @@ from .detect import (
     first_violation,
     least_rotation_index,
     match_eight_template,
-    match_two_template,
     period_of,
     verify_certificate,
 )
@@ -30,7 +29,6 @@ from .cases import (
     RouteTrace,
     TraceStatus,
     block_evolve,
-    check_condition_u,
     classify,
     normalize_to_max,
     trace_cycle,
@@ -46,7 +44,6 @@ from .orbit import (
     State,
     as_rational,
     clear_denominators,
-    denominator_lcm,
     format_state,
     iterate,
     make_state,

@@ -30,7 +30,6 @@ a block, where the graph bookkeeping does not apply.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -242,9 +241,6 @@ class RouteTrace:
             ],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _decompose_routes(labels: List[Case]) -> Tuple[Route, ...]:
     """Split a closed cyclic block-label sequence into routes at C4."""
@@ -344,24 +340,6 @@ def trace_cycle(
         routes=routes,
         detected_period=period,
     )
-
-
-def check_condition_u(
-    state: State,
-    max_blocks: Optional[int] = None,
-    cap: int = DEFAULT_CAP,
-) -> bool:
-    """Does the orbit close at a block boundary with every boundary unambiguous?
-
-    False whenever the start is ambiguous, any later boundary is
-    ambiguous, closure happens inside a block, or no closure was seen
-    within the budget.
-    """
-    try:
-        trace = trace_cycle(state, max_blocks=max_blocks, cap=cap)
-    except PreconditionViolated:
-        return False
-    return trace.status is TraceStatus.CLOSED
 
 
 def normalize_to_max(cert: PeriodCertificate) -> State:

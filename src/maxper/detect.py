@@ -197,9 +197,6 @@ class PeriodCertificate:
             "rotation": self.rotation,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "PeriodCertificate":
         """Load a certificate document; a malformed one raises ValueError naming the field."""
@@ -450,16 +447,3 @@ def match_eight_template(cert: PeriodCertificate) -> Optional[Tuple[Fraction, Fr
         return None
     return x, min(alphas)
 
-
-def match_two_template(cert: PeriodCertificate) -> Optional[Fraction]:
-    """The positive value a of an alternating {a, 0} 2-cycle, if applicable.
-
-    Such cycles exist only for odd order k; the matcher itself just
-    inspects the cycle.
-    """
-    if cert.period != 2:
-        return None
-    lo, hi = sorted(cert.cycle)
-    if lo == 0 and hi > 0:
-        return hi
-    return None

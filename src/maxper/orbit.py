@@ -137,16 +137,12 @@ def scale(state: State, alpha: int | str | Fraction) -> State:
     return tuple(v * a for v in state)
 
 
-def denominator_lcm(state: State) -> int:
-    return lcm(*(as_rational(v).denominator for v in state))
-
-
 def clear_denominators(state: State) -> Tuple[Tuple[int, ...], int]:
     """Return (integer window, L) where the window is the state scaled by L.
 
     Scaling by the positive integer L preserves periods and first-return
     times exactly, which makes integer arithmetic a safe fast path.
     """
-    L = denominator_lcm(state)
+    L = lcm(*(as_rational(v).denominator for v in state))
     ints = tuple(int(as_rational(v) * L) for v in state)
     return ints, L

@@ -13,7 +13,6 @@ period), and the rule for multiples of 11.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, TextIO, Tuple, Union
@@ -126,9 +125,6 @@ class GapReport:
             "stabilized": self.stabilized,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def gap_scan(limit: int) -> GapReport:
     """Enumerate every non-period up to the limit and report the maxima.
@@ -226,7 +222,9 @@ def check_eleven_rule(q_limit: int) -> List[int]:
 
 
 def write_members_csv(lo: int, hi: int, out: TextIO) -> None:
-    """CSV table of [lo, hi]: columns n, member, a, b (first witness pair)."""
+    """CSV table of [lo, hi], 1 <= lo <= hi: columns n, member, a, b (first witness pair)."""
+    if not (1 <= lo <= hi):
+        raise ValueError("need 1 <= lo <= hi")
     out.write("n,member,a,b\n")
     for n in range(lo, hi + 1):
         w = witness(n)

@@ -12,15 +12,15 @@ each period against two candidate descriptions:
 
 Both gradings are recorded because they genuinely differ: already at
 k = 5 the sampler finds honest periods such as 54 = 13*2 + 14*2 whose
-only representations have gcd(a, b) > 1, refuting the coprime form
-while the unrestricted form has never been violated here.
+only representations have gcd(a, b) > 1, refuting the coprime form.
+The unrestricted form holds of the sampled periods only: the order-6
+window 0,0,1,1,0,0 has period 4, which it does not contain.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
@@ -82,16 +82,6 @@ class SurveyConfig:
     seed: int = 0
     cap: int = DEFAULT_CAP
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "samples": self.samples,
-            "numerator_bound": self.numerator_bound,
-            "denominator": self.denominator,
-            "seed": self.seed,
-            "cap": self.cap,
-        }
-
 
 @dataclass
 class SurveyReport:
@@ -107,7 +97,6 @@ class SurveyReport:
     histogram: Dict[int, int] = field(default_factory=dict)
     exemplars: Dict[int, State] = field(default_factory=dict)
     conjecture_ok: Dict[int, bool] = field(default_factory=dict)
-    witnesses: Dict[int, Union[int, Tuple[int, int], None]] = field(default_factory=dict)
     not_closed: int = 0
 
     @property
@@ -122,16 +111,13 @@ class SurveyReport:
 
     def to_json(self) -> dict:
         return {
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
             "histogram": {str(p): c for p, c in sorted(self.histogram.items())},
             "exemplars": {str(p): format_state(s) for p, s in sorted(self.exemplars.items())},
             "not_closed": self.not_closed,
             "conjecture_violations": self.violations,
             "combination_violations": self.combination_violations,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def csv_rows(self) -> List[str]:
         """One row per distinct period: k, exemplar state, period, conjecture_ok."""
@@ -146,6 +132,10 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     """Sample windows, detect exactly, grade every period.  Deterministic per seed."""
     if config.k < 2:
         raise ValueError("order k must be at least 2")
+    if config.denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {config.denominator}")
+    if config.numerator_bound < 0:
+        raise ValueError(f"numerator_bound must be nonnegative, got {config.numerator_bound}")
     rng = random.Random(config.seed)
     report = SurveyReport(config=config)
     d = config.denominator
@@ -161,7 +151,6 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
         if p not in report.exemplars:
             report.exemplars[p] = state
             report.conjecture_ok[p] = conjecture_member(config.k, p)
-            report.witnesses[p] = conjecture_witness(config.k, p)
     return report
 
 

@@ -15,7 +15,6 @@ members of the period set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,9 +59,6 @@ class SynthesisRecipe:
             "predicted": self.predicted,
             "verified": self.verified,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _finish(
@@ -193,9 +189,6 @@ def safe_gcd_route_x2(p: int, x3, x4, numerator: int = 1) -> Fraction:
         raise PreconditionViolated(f"numerator must lie in [1, {p}]")
     x3r, x4r = as_rational(x3), as_rational(x4)
     return x3r + (x4r - x3r) * Fraction(numerator, p + 1)
-
-
-GENERAL_K_KINDS = ("two-k-cycle", "two-cycle-odd-k", "monotone")
 
 
 def build_general_k(

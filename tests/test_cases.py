@@ -12,7 +12,6 @@ from maxper import (
     PreconditionViolated,
     TraceStatus,
     block_evolve,
-    check_condition_u,
     classify,
     detect_period,
     iterate,
@@ -214,10 +213,13 @@ class TestTrace:
 
 
 class TestConditionU:
+    # Condition U: the trace closes at a block boundary, every boundary
+    # unambiguous.  An ambiguous start is refused before any block.
     def test_examples(self):
-        assert check_condition_u(S("8,2,1,5")) is True
-        assert check_condition_u(S("5,1,3,2")) is False  # ambiguous start
-        assert check_condition_u(S("1,0,1,1/2")) is False  # closes mid-block
+        assert trace_cycle(S("8,2,1,5")).status is TraceStatus.CLOSED
+        with pytest.raises(PreconditionViolated):
+            trace_cycle(S("5,1,3,2"))
+        assert trace_cycle(S("1,0,1,1/2")).status is TraceStatus.CONTROVERSIAL  # mid-block
 
     def test_prediction_matches_detection_when_u_holds(self, rng):
         for _ in range(60):
@@ -228,8 +230,9 @@ class TestConditionU:
             x4 = F(rng.randint(1, 8), rng.randint(1, 3))
             x2 = x4 * F(rng.randint(1, p), p + 1)
             s = (F(q - p, p) * x4, x2, F(0), x4)
-            if check_condition_u(s):
-                assert trace_cycle(s).predicted == period_of(s)
+            trace = trace_cycle(s)
+            if trace.status is TraceStatus.CLOSED:
+                assert trace.predicted == period_of(s)
 
     def test_closed_traces_never_mispredict(self, rng):
         # arbitrary admissible nonneg windows, not just route constructions:

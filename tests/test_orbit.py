@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxper import (
-    denominator_lcm,
+    clear_denominators,
     format_state,
     iterate,
     make_state,
@@ -104,7 +104,7 @@ class TestScale:
 @given(windows)
 @settings(max_examples=60)
 def test_orbit_stays_on_initial_lattice(s):
-    L = denominator_lcm(s)
+    L = clear_denominators(s)[1]
     for v in orbit_values(s, 40):
         assert L % v.denominator == 0
 

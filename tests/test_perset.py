@@ -227,3 +227,10 @@ class TestCsvExport:
         buf = io.StringIO()
         write_members_csv(8, 8, buf)
         assert buf.getvalue().strip().splitlines()[1] == "8,true,,"
+
+    @pytest.mark.parametrize("lo,hi", [(5, 1), (0, 5)])
+    def test_bad_range_writes_nothing(self, lo, hi):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="lo <= hi"):
+            write_members_csv(lo, hi, buf)
+        assert buf.getvalue() == ""

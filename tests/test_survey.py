@@ -12,8 +12,9 @@ from maxper import (
     conjecture_witness,
     contains,
     detect_period,
+    first_violation,
     golomb_check,
-    match_two_template,
+    parse_state,
     run_survey,
 )
 
@@ -50,11 +51,21 @@ class TestConjectureMember:
         with pytest.raises(ValueError):
             conjecture_member(1, 5)
 
+    def test_unrestricted_form_misses_an_order_six_period(self):
+        # The unrestricted form fits the sampled periods, not every period:
+        # this window has period 4, which is neither a special value of
+        # order 6 (1, 12, 17) nor a combination of 16 and 17.
+        c = detect_period(parse_state("0,0,1,1,0,0"))
+        assert isinstance(c, PeriodCertificate) and c.period == 4
+        assert first_violation(c) is None
+        assert not combination_member(6, 4)
+        assert not conjecture_member(6, 4)
+
 
 class TestRunSurvey:
     def test_reproducible_from_seed(self):
         cfg = SurveyConfig(k=5, samples=120, seed=7)
-        assert run_survey(cfg).to_json_str() == run_survey(cfg).to_json_str()
+        assert run_survey(cfg).to_json() == run_survey(cfg).to_json()
 
     def test_different_seeds_differ(self):
         a = run_survey(SurveyConfig(k=5, samples=120, seed=7))
@@ -80,6 +91,15 @@ class TestRunSurvey:
         assert report.not_closed > 0
         for p in report.violations:
             assert p in report.histogram
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("denominator", 0), ("denominator", -12), ("numerator_bound", -1)],
+    )
+    def test_sampler_fields_are_checked(self, field, value):
+        config = SurveyConfig(k=4, samples=3, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            run_survey(config)
 
     def test_csv_rows_shape(self):
         report = run_survey(SurveyConfig(k=5, samples=50, seed=2))
@@ -114,7 +134,7 @@ class TestPeriodTwoParity:
         for k in (3, 5, 7):
             c = detect_period(build_general_k("two-cycle-odd-k", k, 2).state)
             assert isinstance(c, PeriodCertificate) and c.period == 2
-            assert match_two_template(c) == 2
+            assert sorted(c.cycle) == [0, 2]
 
 
 class TestGolomb:
