@@ -49,16 +49,27 @@ def _emit(args, doc, lines, csv=None) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    result = iterate(parse_state(args.state), args.n)
+    state, n = parse_state(args.state), args.n
+    # F^p is the identity once the orbit returns at p, so F^n = F^(n mod p).
+    p = detect.period_of(state, cap=abs(n)) if n else None
+    result = iterate(state, n if p is None else n % p)
     return _emit(args, lambda: {"state": [str(v) for v in result]}, lambda: [format_state(result)])
 
 
 def _cmd_period(args) -> int:
-    outcome = detect.detect_period(parse_state(args.state), cap=args.cap)
-    if isinstance(outcome, detect.NotClosed):
-        steps = outcome.steps
-        return _emit(args, lambda: {"not_closed": steps}, lambda: [f"not_closed={steps}"])
-    return _emit(args, outcome.to_json, lambda: [f"period={outcome.period}"])
+    state = parse_state(args.state)
+
+    def doc():
+        outcome = detect.detect_period(state, cap=args.cap)
+        if isinstance(outcome, detect.NotClosed):
+            return {"not_closed": outcome.steps}
+        return outcome.to_json()
+
+    def lines():
+        p = detect.period_of(state, cap=args.cap)
+        return [f"not_closed={args.cap}" if p is None else f"period={p}"]
+
+    return _emit(args, doc, lines)
 
 
 def _cmd_classify(args) -> int:

@@ -6,23 +6,24 @@ is the minimal period of the generated sequence.  Detection therefore
 compares the full k-window against the start after every step and stops
 at the first match.
 
-Detection is period-first.  The window is scaled to integers and run
-forward by an integer kernel that keeps only the current window, so
-memory stays O(k) whether or not the orbit closes; ``period_of`` stops
-there, and ``detect_period`` runs the same first pass.  It then
-regenerates the p integer cycle values in a second pass, with an emitter
-generated once per order k from one template (the window in locals, an
-unrolled maximum), takes the maximum and the least rotation on the
-integers (scaling by L > 0 preserves order, so both agree with the
-rational cycle), and converts to Fractions once at the end.  The least
-rotation runs Booth's algorithm over blocks of the cycle cut before each
-occurrence of its minimum, so most comparisons are tuple comparisons at
-C speed.  A long cycle takes few distinct values, so each distinct
-integer becomes a Fraction once and its repeats share that immutable
-object; ``PeriodCertificate.from_json`` parses each distinct cycle
-literal once in the same way, and refuses a malformed document with
-ValueError.  ``PeriodCertificate.to_json`` formats each distinct cycle
-object once, so shared entries cost one ``str`` call.
+Detection runs in one pass.  The window is scaled to integers and run
+forward by one integer kernel, ``_first_return``.  ``period_of`` keeps
+only the current window, so its memory stays O(k) whether or not the
+orbit closes.  ``detect_period`` also hands the kernel a list, to which
+it appends each term as it makes it, so its memory is O(min(p, cap)),
+the order of the certificate it may return.  At the return the list is
+cut to its first p entries, the integer cycle.  The maximum and the
+least rotation are taken on the integers (scaling by L > 0 preserves
+order, so both agree with the rational cycle), and the cycle is
+converted to Fractions once at the end.  The least rotation runs
+Booth's algorithm over blocks of the cycle cut before each occurrence of
+its minimum, so most comparisons are tuple comparisons at C speed.  A
+long cycle takes few distinct values, so each distinct integer becomes a
+Fraction once and its repeats share that immutable object;
+``PeriodCertificate.from_json`` parses each distinct cycle literal once
+in the same way, and refuses a malformed document with ValueError.
+``PeriodCertificate.to_json`` formats each distinct cycle object once,
+so shared entries cost one ``str`` call.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, islice, repeat
 from math import lcm
 from operator import eq
@@ -78,8 +79,11 @@ def _interned(values: Sequence, convert: Callable, key: Optional[Callable] = Non
     return tuple(map(memo.__getitem__, keys))
 
 
-def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
-    """Integer fast path: first return time within the cap, or None."""
+def _first_return(window: Sequence[int], cap: int, terms: Optional[list] = None) -> Optional[int]:
+    """Integer fast path: first return time within the cap, or None.
+
+    If ``terms`` is given, each new term is appended to it as it is made.
+    """
     w = tuple(window)
     target = w
     for t in range(1, cap + 1):
@@ -88,39 +92,11 @@ def _first_return(window: Sequence[int], cap: int) -> Optional[int]:
         if m < 0:
             m = 0
         w = rest + (m - w[0],)
+        if terms is not None:
+            terms.append(w[-1])
         if w == target:
             return t
     return None
-
-
-@lru_cache(maxsize=64)
-def _emitter(k: int) -> Callable[[Sequence[int], int], list]:
-    """Integer emitter for order k: ``emit(window, n)`` is the window then the next n terms.
-
-    The body is generated from one template per order: the window lives in
-    locals x0..x{k-1}, and the maximum is an unrolled chain from m = 0, so
-    a step neither slices the window nor calls ``max``.  The source
-    depends on the integer k only.
-    """
-    xs = ", ".join(f"x{i}" for i in range(k))
-    shifted = ", ".join([*(f"x{i}" for i in range(1, k)), "m - x0"])
-    source = "\n".join(
-        [
-            "def emit(window, n):",
-            f"    {xs}, = window",
-            "    out = list(window)",
-            "    append = out.append",
-            "    for _ in range(n):",
-            "        m = 0",
-            *(f"        if x{i} > m: m = x{i}" for i in range(1, k)),
-            f"        {xs}, = {shifted},",
-            f"        append(x{k - 1})",
-            "    return out",
-        ]
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["emit"]
 
 
 def _booth(values: Sequence) -> int:
@@ -262,23 +238,28 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> PeriodCertificate | N
 
     NotClosed is an answer, not an error: nothing guarantees that an
     arbitrary rational window closes within any particular budget.
+
+    The kernel records every term it makes, so memory is O(min(p, cap)):
+    the cycle when the orbit closes, and up to cap terms when it does
+    not.  ``period_of`` keeps only the window.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     state = make_state(state)
     ints, L = clear_denominators(state)
-    p = _first_return(ints, cap)
+    terms = list(ints)
+    p = _first_return(ints, cap, terms)
     if p is None:
         return NotClosed(steps=cap)
-    k = len(ints)
-    cycle_ints = _emitter(k)(ints, p - k) if p > k else ints[:p]
+    # terms is the orbit up to the return; its first p entries are the cycle.
+    del terms[p:]
     return PeriodCertificate(
-        k=k,
+        k=len(ints),
         initial=state,
         period=p,
-        cycle=_interned(cycle_ints, lambda c: Fraction(c, L)),
-        max_value=Fraction(max(cycle_ints), L),
-        rotation=least_rotation_index(cycle_ints),
+        cycle=_interned(terms, lambda c: Fraction(c, L)),
+        max_value=Fraction(max(terms), L),
+        rotation=least_rotation_index(terms),
     )
 
 

@@ -132,6 +132,8 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     """Sample windows, detect exactly, grade every period.  Deterministic per seed."""
     if config.k < 2:
         raise ValueError("order k must be at least 2")
+    if config.samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {config.samples}")
     if config.denominator < 1:
         raise ValueError(f"denominator must be at least 1, got {config.denominator}")
     if config.numerator_bound < 0:
@@ -169,6 +171,9 @@ def golomb_check(
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
+    if trials < 1:
+        # No trial at all would be a vacuous yes.
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     expected = 3 * k - 1
     for _ in range(trials):

@@ -37,6 +37,11 @@ class TestPeriod:
         assert code == 0
         assert out.strip() == "not_closed=10"
 
+    def test_text_asks_only_for_the_period(self, capsys, monkeypatch):
+        monkeypatch.setattr(maxper.detect, "detect_period", _refuse)
+        assert run(capsys, "period", "8,2,1,5") == (0, "period=43\n", "")
+        assert run(capsys, "period", "8,2,1,5", "--cap", "10") == (0, "not_closed=10\n", "")
+
 
 class TestIterate:
     def test_forward(self, capsys):
@@ -48,6 +53,21 @@ class TestIterate:
         code, out, _ = run(capsys, "iterate", "2,1,5,-3", "--n", "-1")
         assert code == 0
         assert out.strip() == "8,2,1,5"
+
+    def test_huge_n_is_reduced_modulo_the_period(self):
+        # period 43 and 10**9 % 43 == 41, so F^(10**9) is 41 steps
+        src = str(Path(maxper.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "maxper.cli", "iterate", "8,2,1,5", "--n", "1000000000"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=1,
+        )
+        w = maxper.parse_state("8,2,1,5")
+        for _ in range(41):
+            w = maxper.step(w)
+        assert (done.returncode, done.stdout) == (0, format_state(w) + "\n")
 
 
 class TestClassify:
@@ -188,6 +208,7 @@ class TestSurvey:
             ("--denominator", "0", "denominator"),
             ("--denominator", "-12", "denominator"),
             ("--max-numerator", "-1", "numerator_bound"),
+            ("--samples", "-5", "samples"),
         ],
     )
     def test_bad_sampler_exit_2(self, capsys, flag, value, field):
@@ -225,6 +246,13 @@ class TestGolomb:
         assert code == 0
         assert "expected_period=11" in out
         assert "ok=true" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exit_2(self, capsys, trials):
+        code, out, err = run(capsys, "golomb", "--k", "5", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "trials" in err
 
 
 class TestParseErrors:

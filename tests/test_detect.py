@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -17,6 +18,7 @@ import maxper
 from maxper import (
     NotClosed,
     PeriodCertificate,
+    build_general_k,
     clear_denominators,
     detect_period,
     first_violation,
@@ -145,6 +147,17 @@ def booth_least_rotation(values):
     return best % n
 
 
+def traced_peak(f, *args, **kwargs):
+    """f's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestPeriodFirstDifferential:
     CAP = 20_000
 
@@ -176,6 +189,20 @@ class TestPeriodFirstDifferential:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_detect_period_memory_is_that_of_the_cycle(self):
+        # the monotone window of order 1000 has period 2999
+        s = make_state(range(1000, 0, -1))
+        cert, peak = traced_peak(detect_period, s)
+        assert cert.period == 2999
+        assert peak < 2 * 2**20
+
+    def test_detect_period_memory_is_bounded_by_the_cap(self):
+        # O(cap): the terms made before giving up are kept until then
+        s = parse_state("12,-1,10/3,1,-3/4,3/2")
+        out, peak = traced_peak(detect_period, s, cap=100_000)
+        assert out == NotClosed(steps=100_000)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_non_positive_cap_is_refused(self, cap):
@@ -241,30 +268,57 @@ def step_loop(window, n):
     return out
 
 
-class TestEmitter:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 233])
+def assert_records_the_step_loop_cycle(s, cap=10**6):
+    """detect_period's cycle is the step loop's, and p - 1 steps do not close it."""
+    cert = detect_period(s, cap)
+    assert isinstance(cert, PeriodCertificate)
+    p = cert.period
+    assert cert.cycle == fraction_cycle(s, p)
+    if p > 1:
+        assert detect_period(s, cap=p - 1) == NotClosed(steps=p - 1)
+    return cert
+
+
+class TestRecordedCycle:
+    CAP = 20_000
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_agrees_with_a_step_loop(self, k):
         rng = random.Random(k)
-        emit = detect._emitter(k)
-        assert detect._emitter(k) is emit
-        for _ in range(4 if k > 8 else 25):
-            window = tuple(rng.randint(-9, 9) for _ in range(k))
-            # n = 0 and n = 1 are the cycles of length p = k and p = k + 1
-            for n in (0, 1, 2, k - 1, k, k + 1, 3 * k + 5):
-                out = emit(window, n)
-                assert type(out) is list
-                assert out == step_loop(window, n), (window, n)
+        for _ in range(12):
+            s = make_state(rng.randint(-9, 9) for _ in range(k))
+            p = period_of(s, self.CAP)
+            if p is None:
+                assert detect_period(s, self.CAP) == NotClosed(steps=self.CAP)
+            else:
+                assert assert_records_the_step_loop_cycle(s, self.CAP).period == p
+
+    @pytest.mark.parametrize("kind", ["monotone", "two-k-cycle", "two-cycle-odd-k"])
+    def test_order_233_templates_scaled_by_7_5(self, kind):
+        recipe = build_general_k(kind, 233, verify=False)
+        cert = assert_records_the_step_loop_cycle(scale(recipe.state, F(7, 5)))
+        assert cert.period == recipe.predicted
 
     @pytest.mark.parametrize("n", [1009, 4999])
     def test_synthesized_cycles_scaled_by_7_5(self, n):
-        s = scale(synthesize(n).state, F(7, 5))
-        ints, L = clear_denominators(s)
-        k = len(ints)
-        cycle = detect._emitter(k)(ints, n - k)
-        assert cycle == step_loop(ints, n - k)
-        cert = detect_period(s)
+        cert = assert_records_the_step_loop_cycle(scale(synthesize(n).state, F(7, 5)))
         assert cert.period == n
-        assert cert.cycle == tuple(F(c, L) for c in cycle)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+    def test_no_cycle_is_as_long_as_the_window_or_one_longer(self, k):
+        # The two boundaries of detect_period's cut, p = k and p = k + 1,
+        # cannot occur.  Period k needs 2x[n] = max(0, the other entries),
+        # impossible at a positive maximum; period k + 1 needs
+        # x[n-1] + x[n] = max(0, the other entries), which forces
+        # M, 0, M, 0, ... around a positive maximum M, of period 2.  Both
+        # leave only the zero cycle.  A step-loop search of a box agrees.
+        for window in itertools.product(range(-1, 2), repeat=k):
+            w = window
+            for t in range(1, k + 2):
+                w = step(w)
+                if w == window:
+                    assert t < k, window
+                    break
 
     @pytest.mark.parametrize("text", ["0,0,0,0", "1,0,1,0,1", "1/2,0,1/2", "0,7/3,0,7/3,0,7/3,0"])
     def test_cycles_shorter_than_the_window(self, text):

@@ -94,12 +94,16 @@ class TestRunSurvey:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("denominator", 0), ("denominator", -12), ("numerator_bound", -1)],
+        [("denominator", 0), ("denominator", -12), ("numerator_bound", -1), ("samples", -5)],
     )
     def test_sampler_fields_are_checked(self, field, value):
-        config = SurveyConfig(k=4, samples=3, **{field: value})
+        config = SurveyConfig(**{"k": 4, "samples": 3, field: value})
         with pytest.raises(ValueError, match=field):
             run_survey(config)
+
+    def test_zero_samples_is_an_empty_report(self):
+        report = run_survey(SurveyConfig(k=4, samples=0))
+        assert (report.histogram, report.not_closed) == ({}, 0)
 
     def test_csv_rows_shape(self):
         report = run_survey(SurveyConfig(k=5, samples=50, seed=2))
@@ -146,3 +150,8 @@ class TestGolomb:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             golomb_check(1, trials=5)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_refused(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            golomb_check(5, trials=trials)
