@@ -49,10 +49,7 @@ def _emit(args, doc, lines, csv=None) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    state, n = parse_state(args.state), args.n
-    # F^p is the identity once the orbit returns at p, so F^n = F^(n mod p).
-    p = detect.period_of(state, cap=abs(n)) if n else None
-    result = iterate(state, n if p is None else n % p)
+    result = iterate(parse_state(args.state), args.n)
     return _emit(args, lambda: {"state": [str(v) for v in result]}, lambda: [format_state(result)])
 
 

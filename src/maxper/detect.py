@@ -7,7 +7,7 @@ compares the full k-window against the start after every step and stops
 at the first match.
 
 Detection runs in one pass.  The window is scaled to integers and run
-forward by one integer kernel, ``_first_return``.  ``period_of`` keeps
+forward by one integer kernel, ``orbit._advance``.  ``period_of`` keeps
 only the current window, so its memory stays O(k) whether or not the
 orbit closes.  ``detect_period`` also hands the kernel a list, to which
 it appends each term as it makes it, so its memory is O(min(p, cap)),
@@ -50,6 +50,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .orbit import (
     State,
+    _advance,
     clear_denominators,
     make_state,
     parse_rational,
@@ -77,26 +78,6 @@ def _interned(values: Sequence, convert: Callable, key: Optional[Callable] = Non
     for k, v in memo.items():
         memo[k] = convert(v if key else k)
     return tuple(map(memo.__getitem__, keys))
-
-
-def _first_return(window: Sequence[int], cap: int, terms: Optional[list] = None) -> Optional[int]:
-    """Integer fast path: first return time within the cap, or None.
-
-    If ``terms`` is given, each new term is appended to it as it is made.
-    """
-    w = tuple(window)
-    target = w
-    for t in range(1, cap + 1):
-        rest = w[1:]
-        m = max(rest)
-        if m < 0:
-            m = 0
-        w = rest + (m - w[0],)
-        if terms is not None:
-            terms.append(w[-1])
-        if w == target:
-            return t
-    return None
 
 
 def _booth(values: Sequence) -> int:
@@ -248,8 +229,8 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> PeriodCertificate | N
     state = make_state(state)
     ints, L = clear_denominators(state)
     terms = list(ints)
-    p = _first_return(ints, cap, terms)
-    if p is None:
+    p, w = _advance(ints, cap, terms)
+    if w != ints:
         return NotClosed(steps=cap)
     # terms is the orbit up to the return; its first p entries are the cycle.
     del terms[p:]
@@ -271,7 +252,8 @@ def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
     if cap < 1:
         raise ValueError("cap must be at least 1")
     ints, _ = clear_denominators(make_state(state))
-    return _first_return(ints, cap)
+    p, w = _advance(ints, cap)
+    return p if w == ints else None
 
 
 def first_violation(cert: PeriodCertificate) -> Optional[str]:

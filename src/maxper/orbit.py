@@ -13,18 +13,19 @@ bijection: the oldest term can always be recovered from the next window,
 so every orbit extends to a bi-infinite sequence and eventual periodicity
 already implies periodicity from the start.
 
-All arithmetic is exact (``fractions.Fraction``); no floats appear
-anywhere.  Values produced by the recurrence stay in the additive lattice
-spanned by the initial entries, so denominators never grow beyond the lcm
-of the initial denominators.
+All arithmetic is exact, with no floats; forward runs step integer windows
+(the state scaled by the lcm of its denominators) and convert back once.
+Values produced by the recurrence stay in the lattice spanned by the initial
+entries, so denominators never grow beyond the lcm of the initial ones.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import cycle, islice
 from math import lcm
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 State = Tuple[Fraction, ...]
 
@@ -93,36 +94,55 @@ def step(state: State) -> State:
 
 
 def step_back(state: State) -> State:
-    """Exact inverse of step: recover the window one index earlier."""
-    head = state[:-1]
-    m = max(head)
-    if m < 0:
-        m = 0
-    return (m - state[-1],) + head
+    """Exact inverse of step: x[n+k] + x[n] = max(0, x[n+1..n+k-1]) reads the same backwards."""
+    return step(state[::-1])[::-1]
+
+
+def _advance(window: Sequence[int], n: int, terms: Optional[list] = None) -> Tuple[int, Tuple[int, ...]]:
+    """Integer step kernel: (steps taken, window reached) after n steps or the first return.
+
+    For n >= 1 the window reached equals the start exactly when the orbit
+    returned, and then the steps taken are the first return time.  If
+    ``terms`` is given, each new term is appended to it as it is made.
+    """
+    w = target = tuple(window)
+    t = 0
+    for t in range(1, n + 1):
+        rest = w[1:]
+        m = max(rest)
+        if m < 0:
+            m = 0
+        w = rest + (m - w[0],)
+        if terms is not None:
+            terms.append(w[-1])
+        if w == target:
+            break
+    return t, w
 
 
 def iterate(state: State, n: int) -> State:
-    """n-fold forward step; negative n walks backward via the inverse map."""
-    if n >= 0:
-        for _ in range(n):
-            state = step(state)
-    else:
-        for _ in range(-n):
-            state = step_back(state)
-    return state
+    """n-fold forward step; negative n steps the reversed window forward (see step_back).
+
+    Once the orbit returns at t < |n|, F^t is the identity and |n| mod t steps remain.
+    """
+    ints, L = clear_denominators(state)
+    direction = -1 if n < 0 else 1
+    t, w = _advance(ints[::direction], abs(n))
+    if t < abs(n):
+        _, w = _advance(ints[::direction], abs(n) % t)
+    return tuple(Fraction(v, L) for v in w[::direction])
 
 
 def orbit_values(state: State, n: int) -> List[Fraction]:
-    """First n terms x[1], ..., x[n] of the sequence seeded by this window."""
+    """First n terms x[1], ..., x[n] of the sequence; after a return at t the first t repeat."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    k = len(state)
-    values = list(state[:n])
-    w = state
-    for _ in range(max(0, n - k)):
-        w = step(w)
-        values.append(w[-1])
-    return values
+    ints, L = clear_denominators(state)
+    terms = list(ints)
+    t, _ = _advance(ints, n - len(ints), terms)
+    if t < n - len(ints):
+        del terms[t:]
+    return list(islice(cycle([Fraction(v, L) for v in terms]), n))
 
 
 def scale(state: State, alpha: int | str | Fraction) -> State:

@@ -138,6 +138,8 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
         raise ValueError(f"denominator must be at least 1, got {config.denominator}")
     if config.numerator_bound < 0:
         raise ValueError(f"numerator_bound must be nonnegative, got {config.numerator_bound}")
+    if config.cap < 1:
+        raise ValueError(f"cap must be at least 1, got {config.cap}")
     rng = random.Random(config.seed)
     report = SurveyReport(config=config)
     d = config.denominator
@@ -156,18 +158,16 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     return report
 
 
-def golomb_check(
-    k: int,
-    trials: int,
-    seed: int = 0,
-    value_bound: int = 24,
-    cap: int = DEFAULT_CAP,
-) -> bool:
+_GOLOMB_VALUE_BOUND = 24
+
+
+def golomb_check(k: int, trials: int, seed: int = 0) -> bool:
     """Do sampled monotone nonzero windows of order k all have period 3k - 1?
 
-    Both orientations are exercised: entries are drawn, sorted, and used
-    increasing or decreasing at random.  The zero window is excluded by
-    resampling (its period is 1).
+    Both orientations are exercised: entries are drawn from 0..24, sorted,
+    and used increasing or decreasing at random.  The zero window is
+    excluded by resampling (its period is 1).  A first return at exactly
+    step 3k - 1 is necessary and sufficient, so that is the cap.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
@@ -178,12 +178,12 @@ def golomb_check(
     expected = 3 * k - 1
     for _ in range(trials):
         while True:
-            values = sorted(rng.randint(0, value_bound) for _ in range(k))
+            values = sorted(rng.randint(0, _GOLOMB_VALUE_BOUND) for _ in range(k))
             if any(values):
                 break
         if rng.random() < 0.5:
             values.reverse()
         state = make_state(values)
-        if period_of(state, cap=cap) != expected:
+        if period_of(state, cap=expected) != expected:
             return False
     return True

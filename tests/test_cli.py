@@ -209,10 +209,11 @@ class TestSurvey:
             ("--denominator", "-12", "denominator"),
             ("--max-numerator", "-1", "numerator_bound"),
             ("--samples", "-5", "samples"),
+            ("--cap", "0", "cap"),
         ],
     )
     def test_bad_sampler_exit_2(self, capsys, flag, value, field):
-        code, out, err = run(capsys, "survey", "--k", "4", "--samples", "3", flag, value)
+        code, out, err = run(capsys, "survey", "--k", "4", "--samples", "0", flag, value)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and field in err

@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from maxper import (
     step,
     step_back,
 )
+import maxper
 from maxper.detect import period_of
 
 F = Fraction
@@ -78,6 +84,99 @@ class TestIterate:
     def test_negative_steps_go_backward(self):
         s = S("8,2,1,5")
         assert iterate(iterate(s, 7), -7) == s
+
+
+def written_out_step_back(state):
+    """The inverse with the step rule written out: the reference for ``step_back``."""
+    head = state[:-1]
+    m = max(head)
+    if m < 0:
+        m = 0
+    return (m - state[-1],) + head
+
+
+def step_loop(state, n):
+    """n single steps: ``step`` forward, or the written-out inverse backward."""
+    for _ in range(abs(n)):
+        state = step(state) if n > 0 else written_out_step_back(state)
+    return state
+
+
+def step_terms(state, n):
+    """x[1], ..., x[n] read off a ``step`` loop."""
+    values, w = list(state[:n]), state
+    while len(values) < n:
+        w = step(w)
+        values.append(w[-1])
+    return values
+
+
+def small_windows(seed, count, cap):
+    """Seeded (window, period within cap or None) pairs of orders 2..8."""
+    rng = random.Random(seed)
+    for i in range(count):
+        s = make_state(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2 + i % 7))
+        yield s, period_of(s, cap)
+
+
+class TestIterateAgainstAStepLoop:
+    def test_closed_windows(self):
+        checked = set()
+        for s, p in small_windows(2, 300, 200):
+            if p is None:
+                continue
+            checked.add(len(s))
+            for n in (-3 * p - 1, -p, -1, 0, 1, p - 1, p, p + 1, 3 * p + 2):
+                assert iterate(s, n) == step_loop(s, n), (s, n)
+        assert checked == set(range(2, 9))
+
+    def test_windows_that_do_not_close_within_n(self):
+        checked = 0
+        for s, p in small_windows(3, 100, 150):
+            for n in (150, -150, 37, -37):
+                if p is None or p > abs(n):
+                    checked += 1
+                    assert iterate(s, n) == step_loop(s, n), (s, n)
+        assert checked > 100
+
+    def test_orbit_values(self):
+        for s, p in small_windows(4, 120, 300):
+            k = len(s)
+            lengths = [0, 1, k - 1, k, k + 1, 2 * k + 3] + ([p + 1, 2 * p + k + 5] if p else [300])
+            for n in lengths:
+                assert orbit_values(s, n) == step_terms(s, n), (s, n)
+
+
+def _run(args, timeout):
+    src = str(Path(maxper.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+class TestLongRuns:
+    """Runs that stepped in Fractions took seconds; on integers they take a fraction of one."""
+
+    WINDOW = "12,-1,10/3,1,-3/4,3/2"  # period 891611
+
+    @pytest.mark.parametrize("n", [200_000, -200_000])
+    def test_cli_iterate_a_window_that_does_not_close(self, n):
+        done = _run(["-m", "maxper.cli", "iterate", self.WINDOW, "--n", str(n)], timeout=1)
+        ints, L = clear_denominators(S(self.WINDOW))
+        expected = tuple(F(v, L) for v in step_loop(ints, n))
+        assert (done.returncode, done.stdout) == (0, format_state(expected) + "\n")
+
+    @pytest.mark.parametrize("n", [10**12, -(10**12)])
+    def test_library_iterate_reduces_by_the_period(self, n):
+        code = f"import maxper; print(maxper.format_state(maxper.iterate(maxper.parse_state('8,2,1,5'), {n})))"
+        done = _run(["-c", code], timeout=2)
+        # period 43, so F^n = F^(n mod 43) and F^-n = (F^-1)^(n mod 43)
+        expected = step_loop(S("8,2,1,5"), (1 if n > 0 else -1) * (abs(n) % 43))
+        assert (done.returncode, done.stdout) == (0, format_state(expected) + "\n")
 
 
 class TestScale:

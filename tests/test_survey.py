@@ -15,8 +15,10 @@ from maxper import (
     first_violation,
     golomb_check,
     parse_state,
+    period_of,
     run_survey,
 )
+from maxper import survey
 
 F = Fraction
 
@@ -94,10 +96,17 @@ class TestRunSurvey:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("denominator", 0), ("denominator", -12), ("numerator_bound", -1), ("samples", -5)],
+        [
+            ("denominator", 0),
+            ("denominator", -12),
+            ("numerator_bound", -1),
+            ("samples", -5),
+            ("cap", 0),
+        ],
     )
     def test_sampler_fields_are_checked(self, field, value):
-        config = SurveyConfig(**{"k": 4, "samples": 3, field: value})
+        # samples=0: every field is checked before the first sample is drawn
+        config = SurveyConfig(**{"k": 4, "samples": 0, field: value})
         with pytest.raises(ValueError, match=field):
             run_survey(config)
 
@@ -150,6 +159,17 @@ class TestGolomb:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             golomb_check(1, trials=5)
+
+    def test_cap_is_the_expected_period(self, monkeypatch):
+        caps = []
+
+        def recording_period_of(state, cap):
+            caps.append(cap)
+            return period_of(state, cap)
+
+        monkeypatch.setattr(survey, "period_of", recording_period_of)
+        assert golomb_check(5, trials=6, seed=3)
+        assert caps == [14] * 6
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_is_refused(self, trials):
