@@ -350,12 +350,14 @@ def normalize_to_max(cert: PeriodCertificate) -> State:
     maximum leads.  The result is nonnegative with maximal first entry,
     so it satisfies the classification precondition.
     """
+    p = cert.period
+    if not (p >= 1 and len(cert.cycle) == p and cert.max_value in cert.cycle):
+        raise DegenerateCycle(
+            f"malformed cycle: period {p}, {len(cert.cycle)} terms, maximum {cert.max_value}"
+        )
     if cert.max_value == 0:
         raise DegenerateCycle("the zero cycle has no distinguished maximum window")
-    p = cert.period
     j = 0
     while cert.cycle[(-j) % p] != cert.max_value:
         j += 1
-        if j > p:
-            raise DegenerateCycle("maximum does not occur in the cycle")
     return cert.window_at((-j) % p)

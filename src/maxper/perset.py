@@ -69,7 +69,7 @@ def admissible_decompositions(n: int) -> List[Decomposition]:
 
 def contains(n: int) -> bool:
     """Is n a realizable period of the order-4 recurrence?"""
-    return n in SPECIAL_PERIODS or bool(admissible_decompositions(n))
+    return witness(n) is not None
 
 
 def witness(n: int) -> Union[int, Decomposition, None]:

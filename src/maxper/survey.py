@@ -10,7 +10,9 @@ each period against two candidate descriptions:
     (3k-2)a + (3k-1)b restricted to gcd(a, b) = 1, and
   * the plain combination form with no coprimality restriction.
 
-Both gradings are recorded because they genuinely differ: already at
+One grader decides both forms and refuses orders below 2; a report
+stores only what it sampled and grades its periods when asked.  Both
+gradings are reported because they genuinely differ: already at
 k = 5 the sampler finds honest periods such as 54 = 13*2 + 14*2 whose
 only representations have gcd(a, b) > 1, refuting the coprime form.
 The unrestricted form holds of the sampled periods only: the order-6
@@ -23,17 +25,19 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .detect import DEFAULT_CAP, period_of
 from .orbit import State, format_state, make_state
 
 
-def _special_periods(k: int) -> Tuple[int, ...]:
-    return (1, (3 - (-1) ** k) // 2, 2 * k, 3 * k - 1)
-
-
-def _combination_witness(k: int, n: int, coprime: bool) -> Optional[Tuple[int, int]]:
+def _witness(k: int, n: int, coprime: bool) -> Union[int, Tuple[int, int], None]:
+    """The special value n, the first (a, b) with n = (3k-2)a + (3k-1)b
+    (coprime when asked), or None when n is outside the form."""
+    if k < 2:
+        raise ValueError("order k must be at least 2")
+    if n in (1, (3 - (-1) ** k) // 2, 2 * k, 3 * k - 1):
+        return n
     u, v = 3 * k - 2, 3 * k - 1
     for a in range(n // u + 1):
         rest = n - u * a
@@ -54,23 +58,17 @@ def conjecture_member(k: int, n: int) -> bool:
     3k - 1, or n = (3k-2)a + (3k-1)b for nonnegative a, b (not both
     zero) with gcd(a, b) = 1.
     """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    return n in _special_periods(k) or _combination_witness(k, n, coprime=True) is not None
+    return _witness(k, n, coprime=True) is not None
 
 
 def conjecture_witness(k: int, n: int) -> Union[int, Tuple[int, int], None]:
     """The special value or coprime pair (a, b) certifying membership."""
-    if n in _special_periods(k):
-        return n
-    return _combination_witness(k, n, coprime=True)
+    return _witness(k, n, coprime=True)
 
 
 def combination_member(k: int, n: int) -> bool:
     """Like conjecture_member but without the coprimality restriction."""
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    return n in _special_periods(k) or _combination_witness(k, n, coprime=False) is not None
+    return _witness(k, n, coprime=False) is not None
 
 
 @dataclass(frozen=True)
@@ -96,18 +94,15 @@ class SurveyReport:
     config: SurveyConfig
     histogram: Dict[int, int] = field(default_factory=dict)
     exemplars: Dict[int, State] = field(default_factory=dict)
-    conjecture_ok: Dict[int, bool] = field(default_factory=dict)
     not_closed: int = 0
 
     @property
     def violations(self) -> List[int]:
-        return sorted(p for p, ok in self.conjecture_ok.items() if not ok)
+        return sorted(p for p in self.histogram if not conjecture_member(self.config.k, p))
 
     @property
     def combination_violations(self) -> List[int]:
-        return sorted(
-            p for p in self.histogram if not combination_member(self.config.k, p)
-        )
+        return sorted(p for p in self.histogram if not combination_member(self.config.k, p))
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +118,7 @@ class SurveyReport:
         """One row per distinct period: k, exemplar state, period, conjecture_ok."""
         rows = ["k,state,period,conjecture_ok"]
         for p in sorted(self.histogram):
-            ok = "true" if self.conjecture_ok[p] else "false"
+            ok = "true" if conjecture_member(self.config.k, p) else "false"
             rows.append(f'{self.config.k},"{format_state(self.exemplars[p])}",{p},{ok}')
         return rows
 
@@ -152,9 +147,7 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
             report.not_closed += 1
             continue
         report.histogram[p] = report.histogram.get(p, 0) + 1
-        if p not in report.exemplars:
-            report.exemplars[p] = state
-            report.conjecture_ok[p] = conjecture_member(config.k, p)
+        report.exemplars.setdefault(p, state)
     return report
 
 

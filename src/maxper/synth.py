@@ -8,9 +8,10 @@ silent one.
 
 The workhorse family places the window (p, y, 0, q) with integers
 p > q >= 1 coprime and any rational y in [q, p]; its period is
-(p + q) * 11 + q * 10.  Every admissible target 10a + 11b maps onto it
-via p = b - a, q = a, which is how ``synthesize`` realizes arbitrary
-members of the period set.
+(p + q) * 11 + q * 10.  Those conditions make (q, p + q) an admissible
+``perset.Decomposition`` of the period, as the gcd route's (p, q) is of
+10p + 11q: both builders check admissibility through it, and
+``synthesize`` realizes ``perset.witness(n)`` via p = b - a, q = a.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, Union
 from .detect import period_of
 from .errors import DegenerateCycle, NotAPeriod, PreconditionViolated
 from .orbit import State, as_rational, clear_denominators, make_state
-from .perset import admissible_decompositions
+from .perset import Decomposition, witness
 
 ParamValue = Union[int, Fraction]
 
@@ -85,19 +86,17 @@ def build_controversial1(
     collapses to an 8-cycle instead of the formula's value.
     """
     y = as_rational(ybar)
-    if gcd(p, q) != 1:
-        raise PreconditionViolated(f"gcd({p}, {q}) must be 1")
-    if not (p > q >= 1):
-        raise PreconditionViolated(f"need p > q >= 1, got p={p}, q={q}")
+    target = Decomposition(a=q, b=p + q)
+    if not target.admissible:
+        raise PreconditionViolated(f"need p > q >= 1 coprime, got p={p}, q={q}")
     if not (p >= y >= q):
         raise PreconditionViolated(f"need p >= ybar >= q, got ybar={y}")
     state = make_state((p, y, 0, q))
-    predicted = (p + q) * 11 + q * 10
     return _finish(
         Constructor.CONTROVERSIAL1,
         {"p": p, "q": q, "ybar": y},
         state,
-        predicted,
+        target.value,
         verify,
     )
 
@@ -146,16 +145,15 @@ def build_gcd_route(
 ) -> SynthesisRecipe:
     """Route-driven window with x1 = (q - p)/p * (x4 - x3): period 10p + 11q.
 
-    Requires gcd(p, q) = 1, q >= 2p + 1, x4 > x3 >= 0, x4 > x2 > x3
-    strictly, and the induced x1 >= x4.  Strict interiority of x2 keeps
-    the start unambiguous; whether every later block boundary stays
-    unambiguous additionally depends on x2's position in the (x3, x4)
-    gap (see safe_gcd_route_x2 for a choice that always works).
+    Requires (p, q) admissible as a Decomposition, x4 > x3 >= 0,
+    x4 > x2 > x3 strictly, and the induced x1 >= x4.  Strict interiority
+    of x2 keeps the start unambiguous; whether every later block boundary
+    stays unambiguous additionally depends on x2's position in the
+    (x3, x4) gap (see safe_gcd_route_x2 for a choice that always works).
     """
-    if gcd(p, q) != 1:
-        raise PreconditionViolated(f"gcd({p}, {q}) must be 1")
-    if not (p >= 1 and q >= 2 * p + 1):
-        raise PreconditionViolated(f"need q >= 2p + 1, got p={p}, q={q}")
+    target = Decomposition(a=p, b=q)
+    if not target.admissible:
+        raise PreconditionViolated(f"need p >= 1, q >= 2p + 1 coprime, got p={p}, q={q}")
     x3r, x4r, x2r = as_rational(x3), as_rational(x4), as_rational(x2)
     if not x4r > x3r >= 0:
         raise PreconditionViolated(f"need x4 > x3 >= 0, got x3={x3r}, x4={x4r}")
@@ -167,12 +165,11 @@ def build_gcd_route(
             f"induced x1 = {x1r} is below x4 = {x4r}; shrink x3 or grow q"
         )
     state = make_state((x1r, x2r, x3r, x4r))
-    predicted = 10 * p + 11 * q
     return _finish(
         Constructor.GCD_ROUTE,
         {"p": p, "q": q, "x1": x1r, "x2": x2r, "x3": x3r, "x4": x4r},
         state,
-        predicted,
+        target.value,
         verify,
     )
 
@@ -230,9 +227,9 @@ def build_general_k(
 def synthesize(n: int, verify: bool = True) -> SynthesisRecipe:
     """An initial window whose orbit has period exactly n, if one exists.
 
-    1, 8 and 11 get their dedicated templates.  Any other member
-    10a + 11b of the period set is realized through the (p, y, 0, q)
-    family with p = b - a, q = a, y = (p + q)/2.
+    1, 8 and 11 get their dedicated templates.  Any other member is
+    realized from its witness 10a + 11b through the (p, y, 0, q) family
+    with p = b - a, q = a and y = (p + q)/2, strictly between q and p.
     """
     if n == 1:
         state = make_state((0, 0, 0, 0))
@@ -248,12 +245,9 @@ def synthesize(n: int, verify: bool = True) -> SynthesisRecipe:
         )
     if n == 11:
         return build_general_k(Constructor.MONOTONE, 4, 1, verify=verify)
-    decs = admissible_decompositions(n)
-    if not decs:
+    w = witness(n)
+    if w is None:
         raise NotAPeriod(f"{n} admits no decomposition 10a + 11b with "
                          "a >= 1, b >= 2a + 1, gcd(a, b) = 1")
-    a, b = decs[0].a, decs[0].b
-    p, q = b - a, a
-    ybar = Fraction(p + q, 2)
-    ybar = min(Fraction(p), max(Fraction(q), ybar))
-    return build_controversial1(p, q, ybar, verify=verify)
+    p, q = w.b - w.a, w.a
+    return build_controversial1(p, q, Fraction(p + q, 2), verify=verify)

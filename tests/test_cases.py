@@ -304,3 +304,17 @@ class TestNormalizeToMax:
     def test_identity_when_head_is_max(self):
         c = detect_period(S("8,2,1,5"))
         assert normalize_to_max(c) == S("8,2,1,5")
+
+    @pytest.mark.parametrize(
+        "period,cycle,max_value",
+        [
+            (0, ["1"], "1"),  # no period to rotate modulo
+            (3, ["1", "0"], "1"),  # fewer cycle terms than the period
+            (2, ["1", "0"], "2"),  # the maximum is not a cycle term
+        ],
+    )
+    def test_malformed_certificate_is_refused(self, period, cycle, max_value):
+        doc = {"k": 4, "initial": ["1", "0", "1", "0"], "period": period,
+               "cycle": cycle, "max": max_value, "rotation": 0}
+        with pytest.raises(DegenerateCycle, match="malformed"):
+            normalize_to_max(PeriodCertificate.from_json(doc))

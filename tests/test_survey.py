@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -50,8 +51,27 @@ class TestConjectureMember:
                 assert conjecture_member(4, n)
 
     def test_order_guard(self):
-        with pytest.raises(ValueError):
-            conjecture_member(1, 5)
+        for grader in (conjecture_member, conjecture_witness, combination_member):
+            for k in (1, 0, -3):
+                with pytest.raises(ValueError, match="order k"):
+                    grader(k, 5)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_graders_match_brute_force(self, k):
+        u, v = 3 * k - 2, 3 * k - 1
+        specials = {1, 1 if k % 2 == 0 else 2, 2 * k, 3 * k - 1}
+        for n in range(1, 301):
+            pairs = [
+                (a, b)
+                for a in range(n // u + 1)
+                for b in range(n // v + 1)
+                if u * a + v * b == n and (a, b) != (0, 0)
+            ]
+            coprime = [(a, b) for a, b in pairs if math.gcd(a, b) == 1]
+            expected = n if n in specials else (coprime[0] if coprime else None)
+            assert conjecture_witness(k, n) == expected, (k, n)
+            assert conjecture_member(k, n) == (expected is not None), (k, n)
+            assert combination_member(k, n) == (n in specials or bool(pairs)), (k, n)
 
     def test_unrestricted_form_misses_an_order_six_period(self):
         # The unrestricted form fits the sampled periods, not every period:
