@@ -348,10 +348,12 @@ def normalize_to_max(cert: PeriodCertificate) -> State:
     The occurrence used is the nearest one at or before the certificate's
     own window, i.e. the window reached by stepping backward until the
     maximum leads.  The result is nonnegative with maximal first entry,
-    so it satisfies the classification precondition.
+    so it satisfies the classification precondition.  A cycle whose length
+    is not its period, or whose largest term is not the stated maximum, is
+    refused with DegenerateCycle.
     """
     p = cert.period
-    if not (p >= 1 and len(cert.cycle) == p and cert.max_value in cert.cycle):
+    if not (p >= 1 and len(cert.cycle) == p and max(cert.cycle) == cert.max_value):
         raise DegenerateCycle(
             f"malformed cycle: period {p}, {len(cert.cycle)} terms, maximum {cert.max_value}"
         )

@@ -10,31 +10,35 @@ Detection runs in one pass.  The window is scaled to integers and run
 forward by one integer kernel, ``orbit._advance``.  ``period_of`` keeps
 only the current window, so its memory stays O(k) whether or not the
 orbit closes.  ``detect_period`` also hands the kernel a list, to which
-it appends each term as it makes it, so its memory is O(min(p, cap)),
-the order of the certificate it may return.  At the return the list is
-cut to its first p entries, the integer cycle.  The maximum and the
-least rotation are taken on the integers (scaling by L > 0 preserves
-order, so both agree with the rational cycle), and the cycle is
-converted to Fractions once at the end.  The least rotation runs
-Booth's algorithm over blocks of the cycle cut before each occurrence of
-its minimum, so most comparisons are tuple comparisons at C speed.  A
-long cycle takes few distinct values, so each distinct integer becomes a
-Fraction once and its repeats share that immutable object;
-``PeriodCertificate.from_json`` parses each distinct cycle literal once
-in the same way, and refuses a malformed document with ValueError.
-``PeriodCertificate.to_json`` formats each distinct cycle object once,
-so shared entries cost one ``str`` call.
+it appends each term as it makes it, up to a fixed limit; an orbit that
+runs past the limit is run on unrecorded, and recorded again only once
+it has closed.  So its memory is O(min(p, cap)), the order of the
+certificate it may return, and bounded while the orbit has not closed.
+At the return the list is cut to its first p entries, the integer
+cycle.  The maximum and the least rotation are taken on the integers
+(scaling by L > 0 preserves order, so both agree with the rational
+cycle), and the cycle is converted to Fractions once at the end.  The
+least rotation runs Booth's algorithm over blocks of the cycle cut
+before each occurrence of its minimum, so most comparisons are tuple
+comparisons at C speed.  A long cycle takes few distinct values, so each
+distinct integer becomes a Fraction once and its repeats share that
+immutable object; ``PeriodCertificate.from_json`` parses each distinct
+cycle literal once in the same way, and refuses a malformed document
+with ValueError.  ``PeriodCertificate.to_json`` formats each distinct
+cycle object once, so shared entries cost one ``str`` call.
 
 A successful detection is packaged as a PeriodCertificate carrying the
 whole cycle, its maximum, and a canonical rotation index, so that
 independent code (or another process entirely) can re-check every claim.
-``first_violation`` shares no step loop with the detector: it steps
-with ``orbit.step``, which detection does not call.  It re-simulates p
-integer steps once, compares every term with the cycle and establishes
-minimality as "no earlier return", then checks the maximum, the sign
-structure that any cycle of this recurrence must satisfy around
-occurrences of its maximum, and the claimed rotation, which must start
-a Lyndon word (Duval's algorithm) rather than be recomputed.
+``first_violation`` never steps, so it shares no code with the
+detector's kernel.  It checks every term of the cycle against the
+recurrence at once, as a windowed maximum taken in passes at C speed
+(O(p log k) comparisons), and establishes minimality as primitivity of
+the cycle word, which is "no earlier return" once every term matches.
+It then checks the maximum, the sign structure that any cycle of this
+recurrence must satisfy around occurrences of its maximum, and the
+claimed rotation, which must start a Lyndon word (Duval's algorithm)
+rather than be recomputed.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress, islice, repeat
 from math import lcm
-from operator import eq
+from operator import add, eq
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .orbit import (
@@ -54,10 +58,15 @@ from .orbit import (
     clear_denominators,
     make_state,
     parse_rational,
-    step,
 )
 
 DEFAULT_CAP = 1_000_000
+
+#: The most terms ``detect_period`` records before the orbit has closed.
+#: An orbit of period p up to the limit runs p steps; a longer one runs
+#: limit + 2p, and one that does not close within a cap above it runs
+#: limit + cap.
+_RECORD_LIMIT = 1 << 16
 
 
 def _interned(values: Sequence, convert: Callable, key: Optional[Callable] = None) -> tuple:
@@ -220,18 +229,29 @@ def detect_period(state: State, cap: int = DEFAULT_CAP) -> PeriodCertificate | N
     NotClosed is an answer, not an error: nothing guarantees that an
     arbitrary rational window closes within any particular budget.
 
-    The kernel records every term it makes, so memory is O(min(p, cap)):
-    the cycle when the orbit closes, and up to cap terms when it does
-    not.  ``period_of`` keeps only the window.
+    The kernel records each term it makes, up to ``_RECORD_LIMIT`` of
+    them, so memory is O(min(p, cap, _RECORD_LIMIT)) until the orbit
+    closes and O(p) once it does.  Past the limit the record is dropped
+    and the kernel runs on from the window reached, keeping only the
+    window; the first return of any window on a cycle is its period.  An
+    orbit that closes within the cap is then run once more from the start,
+    recording its p terms.  ``period_of`` keeps only the window.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     state = make_state(state)
     ints, L = clear_denominators(state)
     terms = list(ints)
-    p, w = _advance(ints, cap, terms)
+    p, w = _advance(ints, min(cap, _RECORD_LIMIT), terms)
     if w != ints:
-        return NotClosed(steps=cap)
+        if cap <= _RECORD_LIMIT:
+            return NotClosed(steps=cap)
+        terms.clear()
+        p, back = _advance(w, cap)
+        if back != w:
+            return NotClosed(steps=cap)
+        terms.extend(ints)
+        _advance(ints, p, terms)
     # terms is the orbit up to the return; its first p entries are the cycle.
     del terms[p:]
     return PeriodCertificate(
@@ -259,17 +279,25 @@ def period_of(state: State, cap: int = DEFAULT_CAP) -> Optional[int]:
 def first_violation(cert: PeriodCertificate) -> Optional[str]:
     """Name of the first certificate invariant that fails, or None.
 
-    The checks are deliberately independent of the detector: they step
-    with ``orbit.step``, which the detector does not use.  The initial
-    window and the cycle are scaled by the lcm L of the initial
-    denominators (a cycle entry that is not a multiple of 1/L cannot be an
-    orbit value), and one integer re-simulation of p steps compares every
-    new term with the cycle.
-    Minimality is "no earlier return": the first return time is the
-    minimal period, so a window that comes back before step p refutes it.
-    The sign structure around the maximum and the rotation are checked on
-    the same integers; scaling by L > 0 preserves order, so both agree
-    with the rational cycle.
+    The checks never step, so they share no code with the detector's
+    kernel.  The initial window and the cycle are scaled by the lcm L of
+    the initial denominators, each distinct cycle object once; a cycle
+    entry that is not a multiple of 1/L cannot be an orbit value.  Every
+    term is then checked against the recurrence at once, over the cycle
+    extended cyclically to ext: x[t + k] + x[t] must equal the maximum of
+    0 and x[t + 1 .. t + k - 1] for every t < p, and ``_window_maxima``
+    takes those maxima in passes at C speed.  With the initial window
+    checked, that makes the orbit of the initial window the p-periodic
+    extension of the cycle.
+
+    Minimality is then primitivity.  A window that came back at t < p
+    would make the sequence, and so the cycle word, periodic with the
+    proper divisor gcd(t, p) of p, and every proper divisor of p divides
+    p/q for some prime q | p.  So an earlier return exists exactly when
+    the cycle equals its rotation by p/q for some prime q | p.  The sign
+    structure around the maximum and the rotation are checked on the
+    same integers; scaling by L > 0 preserves order, so both agree with
+    the rational cycle.
 
     The claimed rotation is checked rather than recomputed: minimality is
     checked first, so the cycle is primitive, and its least rotation is
@@ -285,24 +313,21 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
     if any(cert.initial[i] != cert.cycle[i % p] for i in range(k)):
         return "initial-window"
     L = lcm(*(v.denominator for v in cert.initial))
-    # One divmod per entry checks the lattice and scales: an entry that is
-    # not a multiple of 1/L is dropped, so the length no longer matches.
-    cycle = [v.numerator * qr[0] for v in cert.cycle if not (qr := divmod(L, v.denominator))[1]]
-    if len(cycle) != p:
+
+    def scaled(v: Fraction) -> int:
+        q, r = divmod(L, v.denominator)
+        if r:
+            raise ValueError("off the lattice")
+        return v.numerator * q
+
+    try:
+        cycle = _interned(cert.cycle, scaled, key=id)
+    except ValueError:
         return "resimulation"
-    start = tuple(cycle[i % p] for i in range(k))
-    # Step t yields term k + t - 1, which must equal cycle[(k + t - 1) % p].
-    # Matching all p terms also brings the window back to start at step p.
-    r = k % p
-    w = start
-    returned_early = False
-    for t, expected in enumerate(cycle[r:] + cycle[:r], 1):
-        w = step(w)
-        if w[-1] != expected:
-            return "resimulation"
-        if t < p and w == start:
-            returned_early = True
-    if returned_early:
+    ext = (cycle * (k // p + 2))[: p + k]
+    if list(map(add, ext, ext[k:])) != _window_maxima(ext[1:-1], k - 1):
+        return "resimulation"
+    if any(cycle[d:] == cycle[:-d] for d in map(p.__floordiv__, _prime_factors(p))):
         return "minimality"
     m = max(cycle)
     if cert.max_value != Fraction(m, L):
@@ -315,13 +340,52 @@ def first_violation(cert: PeriodCertificate) -> Optional[str]:
     return None
 
 
+#: Shifted views combined per ``map(max, ...)`` pass in ``_window_maxima``.
+_FAN_IN = 8
+
+
+def _window_maxima(values: Sequence[int], width: int) -> list:
+    """max(0, *values[i : i + width]) for every window of ``width`` consecutive values.
+
+    The first pass takes the maximum of 0 and up to ``_FAN_IN`` shifted
+    views, which spans windows of that many values.  Each further pass
+    takes up to ``_FAN_IN`` overlapping windows of the previous span,
+    which multiplies the span until it reaches ``width``.  So the maxima
+    cost O(n log(width)) comparisons, all inside ``map(max, ...)``.
+    """
+    span = min(width, _FAN_IN)
+    level = list(map(max, *(islice(values, i, None) for i in range(span)), repeat(0)))
+    while span < width:
+        grown = min(span * _FAN_IN, width)
+        # Windows of the old span at these offsets cover one of the grown span.
+        offsets = [min(j * span, grown - span) for j in range(-(-grown // span))]
+        level = list(map(max, *(islice(level, o, None) for o in offsets)))
+        span = grown
+    return level
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _sign_violation(cycle: Sequence[int], m: int, k: int) -> Optional[str]:
     """Label of the first sign check that an integer cycle with maximum m fails, or None.
 
     These checks restate theorems about true cycles of the order-k
     recurrence: the maximum is nonnegative, a zero maximum means the zero
     cycle, and around every occurrence of the maximum the signs follow a
-    fixed pattern.  So they cannot fire once re-simulation has passed;
+    fixed pattern.  So they cannot fire once every term has matched;
     they stay as independent statements of the theory, and the tests
     reach them through forged cycles.
     """
@@ -331,12 +395,12 @@ def _sign_violation(cycle: Sequence[int], m: int, k: int) -> Optional[str]:
         return "zero-cycle"
     if m > 0:
         # At every occurrence of m the entries at offsets 0..k-1 must be
-        # >= 0 and the one at offset k <= 0; ext shifted by t holds offset t.
-        at_max = list(map(eq, cycle, repeat(m)))
+        # >= 0 and the one at offset k <= 0; ext is read only there.
+        starts = list(compress(range(len(cycle)), map(eq, cycle, repeat(m))))
         ext = cycle * (k // len(cycle) + 2)
-        if any(min(compress(islice(ext, t, None), at_max)) < 0 for t in range(1, k)):
+        if any(min(ext[i + 1 : i + k]) < 0 for i in starts):
             return "sign-structure"
-        if max(compress(islice(ext, k, None), at_max)) > 0:
+        if max(map(ext.__getitem__, [i + k for i in starts])) > 0:
             return "sign-structure"
     return None
 

@@ -311,6 +311,7 @@ class TestNormalizeToMax:
             (0, ["1"], "1"),  # no period to rotate modulo
             (3, ["1", "0"], "1"),  # fewer cycle terms than the period
             (2, ["1", "0"], "2"),  # the maximum is not a cycle term
+            (2, ["1", "2"], "1"),  # a cycle term exceeds the maximum
         ],
     )
     def test_malformed_certificate_is_refused(self, period, cycle, max_value):

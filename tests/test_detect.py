@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from maxper import (
     synthesize,
     verify_certificate,
 )
-from maxper import detect
+from maxper import detect, orbit
 from conftest import rand_nonneg_state, rand_state
 
 F = Fraction
@@ -196,11 +197,24 @@ class TestPeriodFirstDifferential:
         assert peak < 2 * 2**20
 
     def test_detect_period_memory_is_bounded_by_the_cap(self):
-        # O(cap): the terms made before giving up are kept until then
+        # Past the record limit only the window is kept, so a cap three
+        # times the limit peaks at what the limit costs.  Recording all cap
+        # terms took about 14 bytes per term, 2.7 MiB here.
         s = parse_state("12,-1,10/3,1,-3/4,3/2")
-        out, peak = traced_peak(detect_period, s, cap=100_000)
-        assert out == NotClosed(steps=100_000)
-        assert peak < 8 * 2**20
+        cap = 3 * detect._RECORD_LIMIT
+        out, peak = traced_peak(detect_period, s, cap=cap)
+        assert out == NotClosed(steps=cap)
+        assert peak < 24 * detect._RECORD_LIMIT
+
+    @pytest.mark.parametrize("limit", [1, 100, 1008, 1009, 1010])
+    def test_orbits_longer_than_the_record_limit(self, monkeypatch, limit):
+        s = synthesize(1009).state
+        cert = detect_period(s)
+        monkeypatch.setattr(detect, "_RECORD_LIMIT", limit)
+        again = detect_period(s)
+        assert again == cert and cert_json(again) == cert_json(cert)
+        assert detect_period(s, cap=1009) == cert
+        assert detect_period(s, cap=1008) == NotClosed(steps=1008)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_non_positive_cap_is_refused(self, cap):
@@ -567,20 +581,81 @@ class TestVerifierDifferential:
             "rotation=p": "rotation",
         }
 
-    def test_one_step_per_cycle_term(self, monkeypatch):
+    def test_verifies_without_stepping(self, monkeypatch):
         cert = detect_period(synthesize(1009).state)
         assert isinstance(cert, PeriodCertificate) and cert.period == 1009
-        calls = 0
-        real_step = detect.step
+        forged = forgeries(cert)
 
-        def counting_step(w):
-            nonlocal calls
-            calls += 1
-            return real_step(w)
+        def refuse(*args):
+            raise AssertionError("the verifier stepped")
 
-        monkeypatch.setattr(detect, "step", counting_step)
+        for module in (orbit, detect):
+            monkeypatch.setattr(module, "step", refuse, raising=False)
+            monkeypatch.setattr(module, "_advance", refuse)
         assert verify_certificate(cert)
-        assert calls == cert.period
+        labels = {name: first_violation(f) for name, f in forged.items()}
+        assert labels["doubled"] == "minimality"
+        assert labels["perturbed-middle"] == "resimulation"
+        assert labels["rotation+1"] == "rotation"
+
+    def test_order_4000_monotone_certificate_verifies_quickly(self):
+        cert = detect_period(make_state(range(4000, 0, -1)))
+        assert cert.period == 11999
+        start = time.perf_counter()
+        assert verify_certificate(cert)
+        assert time.perf_counter() - start < 0.5
+
+    def test_orders_2_to_12(self):
+        orders = set()
+        for s in closed_windows(20261022):
+            cert = detect_period(s, cap=2000)
+            assert isinstance(cert, PeriodCertificate), s
+            orders.add(cert.k)
+            assert first_violation(cert) is None
+            self.assert_agrees(cert)
+        assert orders == set(range(2, 13))
+
+    def test_short_and_constant_cycles_of_orders_2_to_12(self):
+        # Periodic extensions of short words that close within their length.
+        short = set()
+        for k in range(2, 13):
+            for d in range(1, 5):
+                for word in itertools.product((0, F(1, 2), 1), repeat=d):
+                    s = make_state(word[i % d] for i in range(k))
+                    cert = detect_period(s, cap=d)
+                    if isinstance(cert, PeriodCertificate) and cert.period < k:
+                        short.add((k, cert.period, len(set(cert.cycle))))
+                        self.assert_agrees(cert)
+        assert {(k, 1, 1) for k in range(2, 13)} <= short  # the zero cycle
+        # These words give no other short cycle at orders 4, 8 and 12.
+        assert {k for k, p, distinct in short if distinct > 1} == set(range(3, 13)) - {4, 8, 12}
+
+
+def closed_windows(seed):
+    """Seeded windows of every order 2..12 whose orbits close within a few hundred steps.
+
+    The monotone window of order k has period 3k - 1, and the windows
+    (x1, x2, 0, ..., 0, xk) with x1 > xk > 0, 0 <= x2 <= x1 and a small
+    ratio x1/xk close quickly too.
+    """
+    rng = random.Random(seed)
+    for k in range(2, 13):
+        yield make_state(F(k - i, 3) for i in range(k))
+        if k >= 3:
+            xk = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+            x1 = xk * F(rng.choice((3, 5, 7)), rng.choice((1, 2)))
+            x2 = x1 * F(rng.randint(0, 4), 4)
+            yield make_state((x1, x2) + (0,) * (k - 3) + (xk,))
+
+
+def test_window_maxima_match_brute_force():
+    rng = random.Random(40)
+    for width in range(1, 41):
+        for extra in range(4):
+            for low in (-9, -30):
+                values = [rng.randint(low, 9) for _ in range(width + extra)]
+                expected = [max(0, *values[i : i + width]) for i in range(extra + 1)]
+                assert detect._window_maxima(values, width) == expected, (width, values)
 
 
 class TestSignStructure:
